@@ -306,9 +306,12 @@ func (s *server) stream200(w http.ResponseWriter, r *http.Request, job *campaign
 		}
 		flush()
 	}
+	// The last point is published before the job stores its document and
+	// settles, so wait for the job itself: the stream then always closes
+	// with the aggregate, and a buffered GET after EOF answers 200.
+	res, _ := job.Wait(r.Context())
 	if emitJSON {
-		// All points settled, so Results is immediate now.
-		if res, _, done := job.Results(); done && res != nil {
+		if res != nil {
 			campaign.StreamAggregateJSON(w, res)
 		} else {
 			campaign.WriteJSON(w, map[string]any{"status": job.Status()})

@@ -5,11 +5,13 @@ import (
 	"encoding/json"
 	"io"
 	"net/http"
+	"net/http/httptest"
 	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/campaign"
+	"repro/internal/store"
 )
 
 func submitAndWait(t *testing.T, url, spec string) string {
@@ -204,5 +206,56 @@ func TestStreamBadFormat(t *testing.T) {
 	id := submitAndWait(t, ts.URL, `{"model": "kpn", "params": {"tokens": 4}}`)
 	if code, _ := get(t, ts.URL+"/campaigns/"+id+"/results?stream=1&format=yaml"); code != http.StatusBadRequest {
 		t.Errorf("stream with unknown format: %d, want 400", code)
+	}
+}
+
+// TestStreamClosesWithAggregate streams many small campaigns back to
+// back, each right after its submission: every NDJSON stream must end
+// with the aggregate line (not a status document), and a buffered GET
+// issued immediately after EOF must find the job settled.
+func TestStreamClosesWithAggregate(t *testing.T) {
+	// Journaled like a production simd: the job-finished record's sync
+	// sits between the last point's publication and the job settling.
+	st, _, err := store.Open(t.TempDir(), store.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng := campaign.NewEngine(campaign.Options{Workers: 2, Store: st})
+	ts := httptest.NewServer(newServer(eng, nil))
+	t.Cleanup(func() {
+		ts.Close()
+		eng.Close()
+		st.Close()
+	})
+	for i := 0; i < 250; i++ {
+		code, body := post(t, ts.URL+"/campaigns", `{
+			"name": "agg",
+			"model": "kpn",
+			"params": {"tokens": 4},
+			"matrix": {"depth": [1, 2]}
+		}`)
+		if code != http.StatusCreated {
+			t.Fatalf("campaign %d: submit: %d %s", i, code, body)
+		}
+		var created struct {
+			Results string `json:"results"`
+		}
+		if err := json.Unmarshal(body, &created); err != nil {
+			t.Fatal(err)
+		}
+		code, nd := get(t, ts.URL+created.Results+"?stream=1")
+		if code != http.StatusOK {
+			t.Fatalf("campaign %d: stream: %d %s", i, code, nd)
+		}
+		lines := strings.Split(strings.TrimSpace(string(nd)), "\n")
+		var last struct {
+			Aggregate *campaign.Aggregate `json:"aggregate"`
+		}
+		if err := json.Unmarshal([]byte(lines[len(lines)-1]), &last); err != nil || last.Aggregate == nil {
+			t.Fatalf("campaign %d: stream ends with %s, want the aggregate line", i, lines[len(lines)-1])
+		}
+		if code, body := get(t, ts.URL+created.Results); code != http.StatusOK {
+			t.Fatalf("campaign %d: buffered results right after stream EOF: %d %s", i, code, body)
+		}
 	}
 }

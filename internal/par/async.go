@@ -220,7 +220,7 @@ func (c *Coordinator) asyncStep(s *shard) {
 func (c *Coordinator) asyncWorker(s *shard, sc *sched, limit sim.Time, wg *sync.WaitGroup) {
 	defer wg.Done()
 	defer func() {
-		if r := recover(); r != nil {
+		if r := s.failure(recover()); r != nil {
 			sc.mu.Lock()
 			sc.panics = append(sc.panics, r)
 			sc.dead[s.idx] = true

@@ -3,10 +3,12 @@ package par_test
 import (
 	"context"
 	"errors"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/leakcheck"
 	"repro/internal/par"
 	"repro/internal/sim"
@@ -131,5 +133,58 @@ func TestStallDiagnosticStringTimeMax(t *testing.T) {
 	}
 	if strings.Contains(out, "=max") {
 		t.Errorf("ambiguous 'max' fold still present:\n%s", out)
+	}
+}
+
+// TestGoexitInShardComesBack: a thread body that ends its goroutine
+// (runtime.Goexit, which is what t.FailNow does) takes the shard's
+// worker with it, beyond recover's reach. Both schedulers must hand the
+// guarded caller an error naming the process instead of waiting forever
+// for the vanished worker.
+func TestGoexitInShardComesBack(t *testing.T) {
+	for _, barrier := range []bool{false, true} {
+		t.Run(map[bool]string{false: "async", true: "barrier"}[barrier], func(t *testing.T) {
+			defer leakcheck.Check(t)()
+			// Two source shards feeding a sink: both sources have work
+			// at date zero, so the barrier scheduler runs them on
+			// workers too rather than inline.
+			ka, kb, kc := sim.NewKernel("a"), sim.NewKernel("b"), sim.NewKernel("c")
+			c := par.NewCoordinator()
+			for _, k := range []*sim.Kernel{ka, kb, kc} {
+				c.AddShard(k)
+			}
+			defer c.Shutdown()
+			fa := core.NewSharded[int](ka, kc, "fa", 4)
+			fb := core.NewSharded[int](kb, kc, "fb", 4)
+			c.AddBridge(fa)
+			c.AddBridge(fb)
+			c.SetBarrier(barrier)
+			ka.Thread("quitter", func(p *sim.Process) {
+				fa.Writer().Write(1)
+				runtime.Goexit()
+			})
+			kb.Thread("src", func(p *sim.Process) {
+				for i := 0; i < 100; i++ {
+					p.Inc(sim.NS)
+					fb.Writer().Write(i)
+				}
+			})
+			kc.Thread("sink", func(p *sim.Process) {
+				fa.Reader().Read()
+				for i := 0; i < 100; i++ {
+					fb.Reader().Read()
+				}
+			})
+			ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+			defer cancel()
+			defer func() {
+				err, _ := recover().(error)
+				if err == nil || !strings.Contains(err.Error(), `process "quitter" called runtime.Goexit`) {
+					t.Errorf("recovered %v, want an error naming the process", err)
+				}
+			}()
+			err := c.RunGuarded(ctx, sim.RunForever, 0)
+			t.Errorf("RunGuarded returned %v, want the shard failure re-raised", err)
+		})
 	}
 }

@@ -607,6 +607,21 @@ func (c *Coordinator) stopWorkers() {
 	}
 }
 
+// failure returns what ended shard s's step abnormally: the recovered
+// panic value, or — when there is none but the kernel still has a
+// current process — an error for the runtime.Goexit (t.FailNow, ...)
+// that process ran. The kernel carries a thread's Goexit onto the
+// goroutine stepping it, where recover cannot see it; unrecorded, the
+// coordinator would wait forever for the vanished worker.
+func (s *shard) failure(r any) any {
+	if r == nil {
+		if p := s.k.Current(); p != nil {
+			return fmt.Errorf("par: shard %d: process %q called runtime.Goexit", s.idx, p.Name())
+		}
+	}
+	return r
+}
+
 // stepShard runs one shard's round, capturing a model panic so the
 // barrier still completes; Run re-panics on the caller's goroutine —
 // every captured value, joined, so a second shard's failure in the same
@@ -614,7 +629,7 @@ func (c *Coordinator) stopWorkers() {
 func (c *Coordinator) stepShard(s *shard, h sim.Time) {
 	defer c.wg.Done()
 	defer func() {
-		if r := recover(); r != nil {
+		if r := s.failure(recover()); r != nil {
 			c.panicMu.Lock()
 			c.panicVals = append(c.panicVals, r)
 			c.panicMu.Unlock()

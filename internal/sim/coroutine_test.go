@@ -1,0 +1,175 @@
+package sim_test
+
+import (
+	"errors"
+	"fmt"
+	"runtime"
+	"slices"
+	"testing"
+	"time"
+
+	"repro/internal/leakcheck"
+	"repro/internal/sim"
+)
+
+// stepDates runs a three-thread model in 7 ns Steps and returns every
+// wake-up date in dispatch order. step performs one Step call; the
+// caller chooses which goroutine it runs on.
+func stepDates(step func(func())) []sim.Time {
+	k := sim.NewKernel("step")
+	defer k.Shutdown()
+	ev := sim.NewEvent(k, "ev")
+	var dates []sim.Time
+	k.Thread("ticker", func(p *sim.Process) {
+		for i := 0; i < 40; i++ {
+			p.Wait(3 * sim.NS)
+			dates = append(dates, k.Now())
+			ev.Notify()
+		}
+	})
+	k.Thread("listener", func(p *sim.Process) {
+		for {
+			p.WaitEvent(ev)
+			dates = append(dates, k.Now())
+		}
+	})
+	k.Thread("decoupled", func(p *sim.Process) {
+		for i := 0; i < 25; i++ {
+			p.Inc(5 * sim.NS)
+			p.Sync()
+			dates = append(dates, k.Now())
+		}
+	})
+	for limit := sim.Time(0); limit <= 140*sim.NS; limit += 7 * sim.NS {
+		step(func() { k.Step(limit) })
+	}
+	return dates
+}
+
+// TestThreadSwitchEdges pins what the coroutine process switch does at
+// its edges.
+func TestThreadSwitchEdges(t *testing.T) {
+	cases := []struct {
+		name string
+		run  func(t *testing.T)
+	}{
+		{"shutdown of a never-dispatched thread skips its body", func(t *testing.T) {
+			before := runtime.NumGoroutine()
+			k := sim.NewKernel("k")
+			ran := false
+			p := k.Thread("idle", func(*sim.Process) { ran = true })
+			k.Shutdown()
+			if ran || !p.Terminated() {
+				t.Errorf("ran = %v, terminated = %v; want false, true", ran, p.Terminated())
+			}
+			if n := runtime.NumGoroutine(); n != before {
+				t.Errorf("goroutines: %d before, %d after", before, n)
+			}
+			k.Run(sim.RunForever)
+			if ran {
+				t.Error("a shut-down thread ran")
+			}
+		}},
+		{"an unrun kernel owns no goroutines", func(t *testing.T) {
+			before := runtime.NumGoroutine()
+			k := sim.NewKernel("k")
+			for i := 0; i < 1000; i++ {
+				k.Thread(fmt.Sprint("t", i), func(p *sim.Process) { p.Wait(sim.NS) })
+			}
+			if n := runtime.NumGoroutine(); n != before {
+				t.Errorf("goroutines: %d before registration, %d after", before, n)
+			}
+		}},
+		{"a body that recovers the kill and waits again is terminated", func(t *testing.T) {
+			defer leakcheck.Check(t)()
+			k := sim.NewKernel("k")
+			kills := 0
+			p := k.Thread("stubborn", func(p *sim.Process) {
+				for i := 0; i < 3; i++ {
+					func() {
+						defer func() {
+							if recover() != nil {
+								kills++
+							}
+						}()
+						p.Wait(sim.NS)
+					}()
+				}
+			})
+			k.Run(0)
+			k.Shutdown()
+			if kills != 3 || !p.Terminated() {
+				t.Errorf("kills = %d, terminated = %v; want 3, true", kills, p.Terminated())
+			}
+		}},
+		{"runtime.Goexit in a body ends the Run caller", func(t *testing.T) {
+			defer leakcheck.Check(t)()
+			k := sim.NewKernel("k")
+			defer k.Shutdown()
+			p := k.Thread("quitter", func(p *sim.Process) {
+				p.Wait(sim.NS)
+				runtime.Goexit() // what t.FailNow does
+			})
+			k.Thread("other", func(p *sim.Process) { p.Wait(sim.SEC) })
+			done := make(chan struct{})
+			returned := false
+			go func() {
+				defer close(done)
+				k.Run(sim.RunForever)
+				returned = true
+			}()
+			select {
+			case <-done:
+			case <-time.After(10 * time.Second):
+				t.Fatal("Run caller neither returned nor exited")
+			}
+			if returned || !p.Terminated() {
+				t.Errorf("Run returned = %v, terminated = %v; want false, true", returned, p.Terminated())
+			}
+		}},
+		{"Step alternating between two goroutines keeps the dates", func(t *testing.T) {
+			defer leakcheck.Check(t)()
+			want := stepDates(func(step func()) { step() })
+			work := [2]chan func(){make(chan func()), make(chan func())}
+			done := make(chan struct{})
+			for _, w := range work {
+				go func() {
+					for step := range w {
+						step()
+						done <- struct{}{}
+					}
+				}()
+			}
+			i := 0
+			got := stepDates(func(step func()) {
+				work[i%2] <- step
+				<-done
+				i++
+			})
+			close(work[0])
+			close(work[1])
+			if len(want) == 0 || !slices.Equal(got, want) {
+				t.Errorf("dates differ:\n one goroutine: %v\n two goroutines: %v", want, got)
+			}
+		}},
+		{"a user panic reaches the Run caller with the process name", func(t *testing.T) {
+			defer leakcheck.Check(t)()
+			k := sim.NewKernel("k")
+			defer k.Shutdown()
+			k.Thread("bad", func(p *sim.Process) {
+				p.Wait(sim.NS)
+				panic(errors.New("boom: 42"))
+			})
+			defer func() {
+				const want = `sim: process "bad" panicked: boom: 42`
+				if r := recover(); r != want {
+					t.Errorf("recovered %#v, want %q", r, want)
+				}
+			}()
+			k.Run(sim.RunForever)
+		}},
+	}
+	for _, c := range cases {
+		t.Run(c.name, c.run)
+	}
+}

@@ -23,7 +23,7 @@ import "sync/atomic"
 // pollEvery is the dispatch countdown between interrupt polls inside the
 // evaluate drain. Poll points cost one atomic add and one atomic load;
 // spacing them keeps the overhead invisible next to the dispatch itself
-// (a coroutine handoff, or a method call) while bounding interrupt
+// (a coroutine switch, or a method call) while bounding interrupt
 // latency to a few dozen dispatches.
 const pollEvery = 64
 

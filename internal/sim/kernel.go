@@ -1,6 +1,9 @@
 package sim
 
-import "fmt"
+import (
+	"fmt"
+	"iter"
+)
 
 // Stats aggregates kernel activity counters. The Fig. 5 reproduction reports
 // ContextSwitches alongside wall time: the paper's whole argument is that
@@ -8,8 +11,8 @@ import "fmt"
 // Smart FIFO removes.
 type Stats struct {
 	// ContextSwitches counts thread process dispatches. Each dispatch is a
-	// full coroutine handoff (two channel operations and a goroutine
-	// switch), the Go analogue of a SystemC thread context switch.
+	// runtime coroutine switch into the thread and back (iter.Pull), the
+	// Go analogue of a SystemC thread context switch.
 	ContextSwitches uint64
 	// MethodActivations counts run-to-completion method dispatches. These
 	// are plain function calls: the cheap alternative the paper uses for
@@ -30,8 +33,9 @@ type Stats struct {
 //
 // All kernel and model state is owned by the single running process (or the
 // caller of Run, between dispatches); there is no concurrent access and
-// hence no locking. The coroutine handoff channels provide the necessary
-// happens-before edges. Distinct kernels share nothing and may run
+// hence no locking. Threads are runtime coroutines of whichever goroutine
+// calls Run or Step, which may differ from call to call but must not hold
+// runtime.LockOSThread. Distinct kernels share nothing and may run
 // concurrently: a partitioned simulation drives one kernel per shard
 // through Step under a conservative coordinator (internal/par), with each
 // shard's clock advancing independently between barriers.
@@ -184,8 +188,10 @@ func (k *Kernel) dispatch(p *Process) {
 		p.body(p)
 	} else {
 		k.stats.ContextSwitches++
-		p.resume <- struct{}{}
-		<-p.yield
+		if p.next == nil {
+			p.next, p.stop = iter.Pull(p.threadMain)
+		}
+		p.next()
 		if p.panicVal != nil {
 			v := p.panicVal
 			p.panicVal = nil
@@ -343,10 +349,10 @@ func (k *Kernel) Blocked() []string {
 	return out
 }
 
-// Shutdown force-terminates every live thread process so their goroutines
-// exit. Call it when discarding a kernel whose model did not run to
-// completion (benchmarks and tests create many kernels; without Shutdown,
-// parked goroutines would leak). The kernel must not be running.
+// Shutdown force-terminates every live thread process: a parked thread is
+// unwound (deferred cleanups run) and its coroutine exits, a thread never
+// dispatched never runs. Call it when discarding a kernel whose model did
+// not run to completion, or parked coroutines leak. Not while running.
 func (k *Kernel) Shutdown() {
 	if k.running {
 		panic("sim: Shutdown called while running")
@@ -355,8 +361,9 @@ func (k *Kernel) Shutdown() {
 		if p.isMethod || p.terminated {
 			continue
 		}
-		p.killed = true
-		p.resume <- struct{}{}
-		<-p.yield
+		if p.stop != nil {
+			p.stop()
+		}
+		p.terminated = true
 	}
 }

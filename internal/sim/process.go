@@ -2,11 +2,11 @@ package sim
 
 import "fmt"
 
-// killSentinel is the panic value used to unwind a killed thread goroutine.
+// killPanic is the panic value used to unwind a killed thread.
 type killPanic struct{}
 
 // Process is a simulation process: either a thread (SC_THREAD analogue, a
-// goroutine that may block in Wait/WaitEvent/Sync) or a method (SC_METHOD
+// coroutine that may block in Wait/WaitEvent/Sync) or a method (SC_METHOD
 // analogue, a run-to-completion callback that must not block).
 //
 // Every process carries a local-time offset for temporal decoupling
@@ -21,11 +21,13 @@ type Process struct {
 	isMethod bool
 	body     func(*Process)
 
-	// Thread coroutine handoff. The scheduler sends on resume and then
-	// receives on yield; the goroutine does the converse.
-	resume   chan struct{}
-	yield    chan struct{}
-	killed   bool
+	// Thread coroutine: an iter.Pull over threadMain, created at the
+	// thread's first dispatch. The scheduler calls next to run the body
+	// up to its next park and stop to kill it; the body calls yield to
+	// park, and a false return tells it to unwind.
+	next     func() (struct{}, bool)
+	stop     func()
+	yield    func(struct{}) bool
 	panicVal any
 
 	terminated bool
@@ -65,13 +67,12 @@ type Process struct {
 	wake timedEntry
 }
 
-// Thread registers a thread process. fn runs in its own goroutine but the
-// kernel guarantees only one process executes at a time. The process is
-// runnable at time zero.
+// Thread registers a thread process. fn runs on its own coroutine stack,
+// started at the thread's first dispatch; the kernel guarantees only one
+// process executes at a time. The process is runnable at time zero.
 func (k *Kernel) Thread(name string, fn func(p *Process)) *Process {
 	p := k.newProcess(name, fn, false)
 	k.runnableAdd(p)
-	go p.threadMain()
 	return p
 }
 
@@ -109,23 +110,16 @@ func (k *Kernel) newProcess(name string, fn func(p *Process), isMethod bool) *Pr
 		isMethod: isMethod,
 		body:     fn,
 	}
-	if !isMethod {
-		p.resume = make(chan struct{})
-		p.yield = make(chan struct{})
-	}
 	p.wake.proc = p
 	p.wake.index = -1
 	k.procs = append(k.procs, p)
 	return p
 }
 
-func (p *Process) threadMain() {
-	<-p.resume
-	if p.killed {
-		p.terminated = true
-		p.yield <- struct{}{}
-		return
-	}
+// threadMain is the thread's coroutine body (an iter.Seq). A body's
+// runtime.Goexit is carried by iter.Pull to the caller of next or stop.
+func (p *Process) threadMain(yield func(struct{}) bool) {
+	p.yield = yield
 	defer func() {
 		if r := recover(); r != nil {
 			if _, isKill := r.(killPanic); !isKill {
@@ -134,7 +128,6 @@ func (p *Process) threadMain() {
 			}
 		}
 		p.terminated = true
-		p.yield <- struct{}{}
 	}()
 	p.body(p)
 }
@@ -155,21 +148,21 @@ func (p *Process) IsMethod() bool { return p.isMethod }
 func (p *Process) Terminated() bool { return p.terminated }
 
 // Dispatches returns how many times the process has been activated
-// (coroutine handoffs for threads, run-to-completion calls for methods).
+// (coroutine switches for threads, run-to-completion calls for methods).
 // The count depends only on the model's dated behaviour, so it is the
 // same under any partitioning or scheduler.
 func (p *Process) Dispatches() uint64 { return p.dispatches }
 
 // park hands control back to the scheduler and blocks until redispatched.
 // Waking invalidates the wait round: entries this round registered on
-// events that did not fire become stale.
+// events that did not fire become stale. yield returns false once
+// Shutdown has stopped the coroutine: the kill panic then unwinds the
+// body, running its deferred cleanups.
 func (p *Process) park() {
-	p.yield <- struct{}{}
-	<-p.resume
-	p.waitSeq++
-	if p.killed {
+	if !p.yield(struct{}{}) {
 		panic(killPanic{})
 	}
+	p.waitSeq++
 }
 
 func (p *Process) checkThreadContext(op string) {

@@ -2,8 +2,8 @@
 //
 // The kernel provides the substrate the paper assumes from IEEE SystemC:
 // simulated time, events with immediate/delta/timed notification, thread
-// processes (cooperative coroutines implemented as goroutines woken one at
-// a time), method processes (run-to-completion callbacks with static and
+// processes (runtime coroutines, iter.Pull, resumed one at a time by the
+// scheduler), method processes (run-to-completion callbacks with static and
 // dynamic sensitivity), and delta cycles.
 //
 // Temporal decoupling (paper §II) is native: every process carries a local
