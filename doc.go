@@ -94,9 +94,8 @@
 //     nothing is runnable even then it falls back to the globally
 //     earliest event date, which is always safe to process. Lookahead
 //     runs out roughly every FIFO-depth words per bridge, so deeper
-//     FIFOs mean fewer rendezvous. SetBarrier(true) forces the legacy
-//     lockstep barrier scheduler; both produce identical dates
-//     (cmd/parlat re-checks this while measuring the latency gap).
+//     FIFOs mean fewer rendezvous. This is the only scheduler; a
+//     one-shard coordinator runs it with a single worker.
 //
 // Blocking Read/Write through a bridge produce local dates identical to a
 // single-kernel SmartFIFO — 1-shard and N-shard runs of the same model
@@ -172,11 +171,11 @@
 // rendezvous, exchange-latency histogram) and campaign.NewMetrics
 // (point lifecycle, cache hits, active workers/campaigns). Everything
 // no-ops at a nil check when disabled; AllocsPerRun regressions pin the
-// hot paths at 0 allocs both ways. The async coordinator can also
-// record a scheduler timeline — per-worker ring buffers of
+// hot paths at 0 allocs both ways. The coordinator can also record a
+// scheduler timeline — per-worker ring buffers of
 // park/wake/exchange/rendezvous/step records — dumped as Chrome
 // trace_event JSON for chrome://tracing or ui.perfetto.dev via the
-// -simtrace flags on fifobench/socbench/parlat or simd's /debug/trace
+// -simtrace flags on fifobench/socbench or simd's /debug/trace
 // endpoint; simd serves the registry at GET /metrics and per-campaign
 // live counters at /campaigns/{id}/stats.
 package repro

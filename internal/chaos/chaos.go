@@ -1,7 +1,7 @@
 // Package chaos is the fault-injection harness behind the robustness
 // contract's soak tests. A Plan compiles into par.Hooks that perturb a
-// coordinated run from the inside — scheduling jitter around barrier
-// rounds, withheld bridge flushes, induced shard panics — without
+// coordinated run from the inside — scheduling jitter before shard
+// steps, withheld bridge exchanges, induced shard panics — without
 // touching the model. The package's own tests are the chaos soak: they
 // assert that under every perturbation the simulated dates stay
 // byte-identical (the conservative protocol's promise), failures
@@ -28,16 +28,17 @@ type Plan struct {
 	// exactly what the soak is exercising).
 	Seed int64
 	// JitterMax, when positive, sleeps each shard worker a random
-	// duration in [0, JitterMax) immediately before each barrier step —
+	// duration in [0, JitterMax) immediately before each kernel step —
 	// the "worker descheduled at the worst moment" perturbation.
 	JitterMax time.Duration
-	// FlushDeferProb is the per-bridge, per-round probability that a
-	// staged bridge's flush is withheld for the round, forcing the
-	// coordinator through its deferred-frontier path.
+	// FlushDeferProb is the per-exchange probability that a bridge's
+	// writer-side exchange is withheld, leaving the reader shard bounded
+	// by the previously published frontier until a later exchange or the
+	// next rendezvous force-flush delivers the data.
 	FlushDeferProb float64
 	// PanicRound, when nonzero, makes every shard listed in PanicShards
-	// panic at the top of its first step at or after that barrier round
-	// (a shard does not necessarily step in any given round) — the
+	// panic at the top of its first step at or after that advance
+	// ordinal (each shard counts its own steps, 1-based) — the
 	// induced-crash perturbation (and, with two or more shards listed,
 	// the multi-panic join test).
 	PanicRound  uint64

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -62,58 +63,77 @@ func init() {
 }
 
 // fingerprint runs one workload cleanly and returns the dated-output
-// hash.
-func fingerprint(t *testing.T, w chaos.Workload, plan *chaos.Plan) uint64 {
+// hash and the number of writer-side exchanges the plan withheld.
+func fingerprint(t *testing.T, w chaos.Workload, plan *chaos.Plan) (hash uint64, withheld int64) {
 	t.Helper()
 	b, fp := w.Build()
 	defer b.Shutdown()
+	var n atomic.Int64
 	if plan != nil && b.Coord != nil {
-		b.Coord.SetHooks(plan.Hooks())
+		h := plan.Hooks()
+		if deferFlush := h.DeferFlush; deferFlush != nil {
+			h.DeferFlush = func(br par.Bridge, round uint64) bool {
+				if deferFlush(br, round) {
+					n.Add(1)
+					return true
+				}
+				return false
+			}
+		}
+		b.Coord.SetHooks(h)
 	}
 	if err := b.RunGuarded(context.Background(), sim.RunForever); err != nil {
 		t.Fatalf("run: %v", err)
 	}
-	return fp()
+	return fp(), n.Load()
 }
 
-// TestJitterDeterminism is the core soak: scheduling jitter around the
-// barrier steps must never change a single dated word. Three seeds, all
+// TestJitterDeterminism is the core soak: scheduling jitter before shard
+// steps must never change a single dated word. Three seeds, all
 // byte-identical to the unperturbed run.
 func TestJitterDeterminism(t *testing.T) {
 	defer leakcheck.Check(t)()
 	w := chaos.Workload{Stages: 4, Words: 200, Depth: 8, Shards: 3, Seed: 7}
-	want := fingerprint(t, w, nil)
+	want, _ := fingerprint(t, w, nil)
 	for seed := int64(1); seed <= 3; seed++ {
-		got := fingerprint(t, w, &chaos.Plan{Seed: seed, JitterMax: 200 * time.Microsecond})
+		got, _ := fingerprint(t, w, &chaos.Plan{Seed: seed, JitterMax: 200 * time.Microsecond})
 		if got != want {
 			t.Errorf("jitter seed %d: fingerprint %016x, want %016x", seed, got, want)
 		}
 	}
 }
 
-// TestDeferFlushDeterminism: withholding bridge flushes (delayed
-// delivery) must be invisible to dates — the coordinator bounds readers
-// by the staged frontier instead.
+// TestDeferFlushDeterminism: withholding writer-side bridge exchanges
+// (delayed delivery) must be invisible to dates — the reader shard stays
+// bounded by the previously published frontier, and the rendezvous
+// force-flushes whatever is still withheld. Each seed must actually
+// withhold something, or the soak proves nothing.
 func TestDeferFlushDeterminism(t *testing.T) {
 	defer leakcheck.Check(t)()
 	w := chaos.Workload{Stages: 4, Words: 200, Depth: 8, Shards: 3, Seed: 11}
-	want := fingerprint(t, w, nil)
+	want, _ := fingerprint(t, w, nil)
 	for seed := int64(1); seed <= 3; seed++ {
-		got := fingerprint(t, w, &chaos.Plan{Seed: seed, FlushDeferProb: 0.5})
+		got, withheld := fingerprint(t, w, &chaos.Plan{Seed: seed, FlushDeferProb: 0.5})
 		if got != want {
 			t.Errorf("defer seed %d: fingerprint %016x, want %016x", seed, got, want)
+		}
+		if withheld == 0 {
+			t.Errorf("defer seed %d: no exchange was withheld", seed)
 		}
 	}
 }
 
-// TestCombinedChaosDeterminism layers jitter and flush deferral.
+// TestCombinedChaosDeterminism layers jitter and exchange deferral.
 func TestCombinedChaosDeterminism(t *testing.T) {
 	defer leakcheck.Check(t)()
 	w := chaos.Workload{Stages: 5, Words: 150, Depth: 4, Shards: 4, Seed: 3}
-	want := fingerprint(t, w, nil)
-	got := fingerprint(t, w, &chaos.Plan{Seed: 42, JitterMax: 100 * time.Microsecond, FlushDeferProb: 0.3})
+	want, _ := fingerprint(t, w, nil)
+	got, withheld := fingerprint(t, w, &chaos.Plan{Seed: 42, JitterMax: 100 * time.Microsecond, FlushDeferProb: 0.3})
 	if got != want {
 		t.Errorf("combined chaos: fingerprint %016x, want %016x", got, want)
+	}
+	if withheld == 0 {
+		t.Error("combined chaos: no exchange was withheld")
 	}
 }
 
@@ -124,8 +144,8 @@ func TestShardPanicJoin(t *testing.T) {
 	w := chaos.Workload{Stages: 4, Words: 64, Shards: 3, Seed: 1}
 	b, _ := w.Build()
 	defer b.Shutdown()
-	// Every thread starts runnable at date 0, so all three shards step
-	// in round 1; shards 0 and 2 both panic there.
+	// Every thread starts runnable at date 0, so shards 0 and 2 both
+	// panic at the top of their first step.
 	b.Coord.SetHooks(chaos.Plan{PanicRound: 1, PanicShards: []int{0, 2}}.Hooks())
 	var rec any
 	func() {

@@ -91,7 +91,7 @@ func TestShardedBurstSteadyStateZeroAlloc(t *testing.T) {
 	var end sim.Time
 	step := func() {
 		end += 2 * sim.US
-		// Drive run/barrier cycles by hand: the degenerate same-kernel
+		// Drive run/flush cycles by hand: the degenerate same-kernel
 		// bridge still moves data only at Flush.
 		for i := 0; i < 40; i++ {
 			k.Run(end)

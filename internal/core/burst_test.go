@@ -4,7 +4,7 @@ package core_test
 // pinned bit-identical to their scalar oracles (the per-word loops of the
 // burst contract) across randomized depth/per/burst-size schedules,
 // including bursts spanning full/empty boundaries, Try bursts, event
-// subscribers and shard barriers.
+// subscribers and shard exchanges.
 
 import (
 	"fmt"
@@ -433,7 +433,7 @@ func runBurstSharded(depth, nWords int, wOps, rOps []burstOp, bulk bool) (*trace
 }
 
 // TestQuickShardedBurstMatchesScalar pins the bridge endpoints' bulk paths
-// against their scalar loops across shard barriers: same dated trace, same
+// against their scalar loops across shard exchanges: same dated trace, same
 // channel stats.
 func TestQuickShardedBurstMatchesScalar(t *testing.T) {
 	prop := func(depthRaw uint8, wRaw, rRaw []byte) bool {
@@ -471,7 +471,7 @@ func TestShardedBurstMatchesSingleKernel(t *testing.T) {
 			t.Errorf("depth %d: sharded bulk trace differs from single-kernel bulk:\n%s", depth, d)
 		}
 		// The bridge parks more often than a same-kernel FIFO (deliveries
-		// lag to barriers), so only the access counters are comparable —
+		// lag to exchanges), so only the access counters are comparable —
 		// the dates above are the pinned property.
 		if refStats.Writes != gotStats.Writes || refStats.Reads != gotStats.Reads {
 			t.Errorf("depth %d: access counts differ: single %+v, sharded %+v", depth, refStats, gotStats)

@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/fifo"
 	"repro/internal/sim"
@@ -29,16 +28,18 @@ import (
 //     local clock to the insertion date — and stages the freeing date for
 //     the writer.
 //
-// Flush, called only at coordinator barriers (no kernel running), moves the
-// outbox into the reader's cells and the freeing dates into the writer's
-// credit window, waking blocked endpoint processes. Because deliveries are
-// deferred to barriers, the endpoints' external views lag the real state by
-// at most one round — but every date carried is exact, so blocking
-// Read/Write produce local dates identical to a single-kernel SmartFIFO
-// (pinned by TestShardedFIFOMatchesSmart and the 1-vs-N-shard trace
-// equivalence tests). The two-test IsEmpty/IsFull rules and the dated Size
-// monitor are evaluated per endpoint over that endpoint's mirror; they are
-// exact for dates up to the bridge's frontier.
+// The exchange halves (FlushWriterSide on the writer shard's worker,
+// FlushReaderSide on the reader's, each between its own kernel's Steps)
+// move the outbox into the reader's cells and the freeing dates into the
+// writer's credit window through a locked mailbox, waking blocked endpoint
+// processes; Flush does both at once at the coordinator's all-parked
+// rendezvous. Because deliveries wait for an exchange, the endpoints'
+// external views lag the real state — but every date carried is exact, so
+// blocking Read/Write produce local dates identical to a single-kernel
+// SmartFIFO (pinned by TestShardedFIFOMatchesSmart and the 1-vs-N-shard
+// trace equivalence tests). The two-test IsEmpty/IsFull rules and the
+// dated Size monitor are evaluated per endpoint over that endpoint's
+// mirror; they are exact for dates up to the bridge's frontier.
 //
 // Both endpoints offer the burst interface of burst.go: bulk runs over the
 // credit window (writes) or the delivered cells (reads), with outbox
@@ -62,7 +63,7 @@ type ShardedFIFO[T any] struct {
 // its own kernel safe points (between Steps), so endpoint internals
 // never need locking. The published bounds let the reading shard derive
 // its horizon the moment the writer publishes one, without a global
-// barrier.
+// rendezvous.
 type xfer[T any] struct {
 	mu sync.Mutex
 
@@ -86,13 +87,6 @@ type xfer[T any] struct {
 	// rFloor is the reader-published pop floor (monotone): every future
 	// credit carries a freeing date at or after it.
 	rFloor sim.Time
-
-	// baseA/rFloorA/wfA mirror the published bounds for lock-free
-	// observation (diagnostics, benchmarks); the authoritative values
-	// are read under mu by the exchange halves.
-	baseA   atomic.Int64
-	rFloorA atomic.Int64
-	wfA     atomic.Int64
 
 	// traffic accumulates this bridge's cross-boundary activity (under
 	// mu, on the flush paths only); m, captured at construction, is the
@@ -165,9 +159,9 @@ func (r *ShardedReader[T]) readFloor() sim.Time {
 
 // NewSharded creates a sharded Smart FIFO with the given depth, its writer
 // side on kernel wk and its reader side on kernel rk. The two kernels may
-// be the same (a degenerate bridge, still flushed at barriers), which is
-// how a sharded model collapses onto one kernel for 1-shard validation
-// runs.
+// be the same (a degenerate bridge, still moving data only through
+// exchanges), which is how a sharded model collapses onto one kernel for
+// 1-shard validation runs.
 func NewSharded[T any](wk, rk *sim.Kernel, name string, depth int) *ShardedFIFO[T] {
 	if depth <= 0 {
 		panic(fmt.Sprintf("core: %s: non-positive depth %d", name, depth))
@@ -212,7 +206,7 @@ func (f *ShardedFIFO[T]) WriterKernel() *sim.Kernel { return f.w.k }
 func (f *ShardedFIFO[T]) ReaderKernel() *sim.Kernel { return f.r.k }
 
 // Stats merges both endpoints' counters. Call it only while neither kernel
-// is running (between coordinator rounds or after a run).
+// is running (after a run).
 func (f *ShardedFIFO[T]) Stats() Stats {
 	w, r := f.w.stats, f.r.stats
 	return Stats{
@@ -228,8 +222,8 @@ func (f *ShardedFIFO[T]) Stats() Stats {
 // Flush moves everything staged on either side across the shard boundary
 // — outbox and mailbox data to the reader, pending and mailbox credits to
 // the writer — and reports whether anything moved. It must be called only
-// at a global safe point (a coordinator barrier or all-parked rendezvous),
-// while neither kernel is running. Both directions move as bulk ring
+// at a global safe point (the coordinator's all-parked rendezvous), while
+// neither kernel is running. Both directions move as bulk ring
 // copies (≤ 2 contiguous segments each). It also refreshes the published
 // bounds, since a global safe point is trivially a safe point for each
 // side.
@@ -343,7 +337,6 @@ func (f *ShardedFIFO[T]) publishWriterBoundsLocked() bool {
 	if !w.multiWriter && w.writer != nil && w.writer.Terminated() {
 		if !x.term {
 			x.term = true
-			x.baseA.Store(int64(sim.TimeMax))
 			return true
 		}
 		return false
@@ -367,7 +360,6 @@ func (f *ShardedFIFO[T]) publishWriterBoundsLocked() bool {
 	changed := false
 	if base > x.base {
 		x.base = base
-		x.baseA.Store(int64(base))
 		changed = true
 	}
 	if blocked != x.blocked {
@@ -383,7 +375,6 @@ func (f *ShardedFIFO[T]) publishReaderFloorLocked() bool {
 	r, x := &f.r, &f.x
 	if rf := r.readFloor(); rf > x.rFloor {
 		x.rFloor = rf
-		x.rFloorA.Store(int64(rf))
 		return true
 	}
 	return false
@@ -423,7 +414,6 @@ func (f *ShardedFIFO[T]) FlushWriterSide(deferData bool) (writeFrontier sim.Time
 	x.mu.Unlock()
 
 	if !w.multiWriter && w.writer != nil && w.writer.Terminated() {
-		x.wfA.Store(int64(sim.TimeMax))
 		return sim.TimeMax, data, bound
 	}
 	wf := w.lastWriteDate
@@ -435,7 +425,6 @@ func (f *ShardedFIFO[T]) FlushWriterSide(deferData bool) (writeFrontier sim.Time
 			wf = lt
 		}
 	}
-	x.wfA.Store(int64(wf))
 	return wf, data, bound
 }
 
@@ -497,18 +486,10 @@ func (f *ShardedFIFO[T]) FlushReaderSide() (frontier sim.Time, credit, bound boo
 	return r.effFrontier, credit, bound
 }
 
-// AsyncBounds returns the last published frontier base and write
-// frontier without locking — a racy but monotone observation for
-// diagnostics and benchmarks. The exchange halves read the authoritative
-// values under the mailbox lock.
-func (f *ShardedFIFO[T]) AsyncBounds() (base, writeFrontier sim.Time) {
-	return sim.Time(f.x.baseA.Load()), sim.Time(f.x.wfA.Load())
-}
-
 // Frontier returns a lower bound on the insertion dates of everything the
 // bridge may still deliver: the reader's shard may safely simulate up to
-// and including this date. Call it only at a barrier, after Flush (an
-// undelivered outbox entry could be older than the bound).
+// and including this date. Call it only at the coordinator's rendezvous,
+// after Flush (an undelivered outbox entry could be older than the bound).
 //
 // The bound is the §III access discipline turned into lookahead — no null
 // messages, just the cell timestamps:
@@ -550,27 +531,13 @@ func (f *ShardedFIFO[T]) Frontier() sim.Time {
 	return front
 }
 
-// StagedFrontier returns the minimum insertion date staged in the
-// writer-side outbox — data written but not yet flushed across the
-// boundary — and ok=false when nothing is staged. Insertion dates on a
-// side never decrease, so the first staged entry is the minimum. The
-// coordinator's deferred-flush injection (par.StagedBridge) uses it to
-// keep Frontier's bound honest when a Flush is withheld: undelivered
-// outbox entries can be older than Frontier, never older than this.
-func (f *ShardedFIFO[T]) StagedFrontier() (at sim.Time, ok bool) {
-	if len(f.w.outIns) == 0 {
-		return 0, false
-	}
-	return f.w.outIns[0], true
-}
-
 // WriteFrontier returns a lower bound on the resume date of any write
-// that blocks (now or later this round) on exhausted credits: the writer's
-// shard must not advance its kernel clock past this date, or a parked
-// writer's restored local date would be clamped to the kernel clock
+// that blocks (now or later) on exhausted credits: the writer's shard
+// must not advance its kernel clock past this date, or a parked writer's
+// restored local date would be clamped to the kernel clock
 // (sim.Process.SetLocalDate cannot represent a local date in the global
-// past) and the §III dates would drift. Call it only at a barrier, after
-// Flush, like Frontier.
+// past) and the §III dates would drift. Call it only at the rendezvous,
+// after Flush, like Frontier.
 //
 // A blocked write resumes at max(its restore date, the freeing date of
 // the credit that wakes it), so the bound is the max of
@@ -810,7 +777,7 @@ func (w *ShardedWriter[T]) TryWrite(v T) bool {
 }
 
 // NotFull is the writer-side writable-event, notified at the freeing date
-// of the first available cell (as of the last barrier).
+// of the first available cell (as of the last exchange).
 func (w *ShardedWriter[T]) NotFull() *sim.Event { return w.notFull }
 
 // Size is the dated monitor count over the writer's mirror (§III-C rules).
@@ -1038,7 +1005,7 @@ func (r *ShardedReader[T]) TryRead() (T, bool) {
 }
 
 // NotEmpty is the reader-side readable-event, notified at the insertion
-// date of the first available datum (as of the last barrier).
+// date of the first available datum (as of the last exchange).
 func (r *ShardedReader[T]) NotEmpty() *sim.Event { return r.notEmpty }
 
 // Size is the dated monitor count over the reader's mirror (§III-C rules).

@@ -5,9 +5,9 @@ import (
 	"sort"
 )
 
-// Report quantiles, shared by the latency harnesses (cmd/parlat) and
-// the histogram snapshots: one nearest-rank convention instead of a
-// percentile-index formula re-derived per report.
+// Report quantiles, shared by latency reports and the histogram
+// snapshots: one nearest-rank convention instead of a percentile-index
+// formula re-derived per report.
 
 // NearestRank returns the 0-based index of the q-quantile in a sorted
 // sample of size n under the floor(q*n) nearest-rank convention — the

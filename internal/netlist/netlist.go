@@ -388,8 +388,8 @@ type Build struct {
 	// Kernels are the shards, in index order. Single-kernel builds have
 	// exactly one and no coordinator.
 	Kernels []*sim.Kernel
-	// Coord is the conservative barrier coordinator driving the shards;
-	// nil for single-kernel builds.
+	// Coord is the conservative frontier-driven coordinator driving the
+	// shards; nil for single-kernel builds.
 	Coord *par.Coordinator
 	// Assignment maps module index to shard index.
 	Assignment []int

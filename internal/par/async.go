@@ -1,44 +1,20 @@
 package par
 
-// The asynchronous frontier-driven scheduler: one long-lived worker
-// goroutine per shard, each advancing the moment its own inbound bridge
-// frontiers allow, with an all-parked rendezvous on the Run goroutine as
-// the deadlock-free slow path. See the package doc for the protocol and
-// its safety argument.
+// The frontier-driven scheduler: one long-lived worker goroutine per
+// shard, each advancing the moment its own inbound bridge frontiers
+// allow, with an all-parked rendezvous on the Run goroutine as the
+// deadlock-free slow path. See the package doc for the protocol and its
+// safety argument.
 
 import (
+	"fmt"
 	"sync"
 	"time"
 
 	"repro/internal/sim"
 )
 
-// AsyncBridge is the bridge extension the frontier-driven scheduler
-// needs: the two directional halves of Flush, each safe to call from its
-// own shard's worker goroutine while the peer shard keeps running.
-// core.ShardedFIFO implements it. A coordinator holding any bridge
-// without it stays on the barrier scheduler.
-type AsyncBridge interface {
-	Bridge
-	// FlushWriterSide is the writer shard's half of an exchange: stage
-	// the outbox, import freed-cell credits, and publish the frontier
-	// base — or, with deferData set (the DeferFlush injection), skip
-	// the exchange entirely and leave the previously published (still
-	// valid) bounds in place. It returns the current write-frontier
-	// bound plus two publication grades: data when words were staged
-	// (can make a reader process runnable), bound when only a frontier
-	// bound was raised (useful solely to a horizon-capped reader shard).
-	FlushWriterSide(deferData bool) (writeFrontier sim.Time, data, bound bool)
-	// FlushReaderSide is the reader shard's half: publish freed-cell
-	// credits and the pop floor, import delivered data, and return the
-	// effective inbound frontier (monotone across calls) plus the
-	// graded publication flags: credit when freed cells crossed against
-	// a writer-published full window (can make a credit-parked writer
-	// process runnable), bound for any credit or floor publication.
-	FlushReaderSide() (frontier sim.Time, credit, bound bool)
-}
-
-// sched is the park/poke state shared by one async run's workers and its
+// sched is the park/poke state shared by one run's workers and its
 // rendezvous goroutine. Everything in it is guarded by mu; the bridges
 // themselves carry their own locks, so a poke never has to be delivered
 // under a bridge lock.
@@ -211,6 +187,21 @@ func (c *Coordinator) asyncStep(s *shard) {
 	s.k.Step(stepLimit(s.horizon))
 }
 
+// failure returns what ended shard s's step abnormally: the recovered
+// panic value, or — when there is none but the kernel still has a
+// current process — an error for the runtime.Goexit (t.FailNow, ...)
+// that process ran. The kernel carries a thread's Goexit onto the
+// goroutine stepping it, where recover cannot see it; unrecorded, the
+// rendezvous would wait forever for the vanished worker.
+func (s *shard) failure(r any) any {
+	if r == nil {
+		if p := s.k.Current(); p != nil {
+			return fmt.Errorf("par: shard %d: process %q called runtime.Goexit", s.idx, p.Name())
+		}
+	}
+	return r
+}
+
 // asyncWorker is one shard's long-lived scheduling loop: exchange both
 // halves of every adjacent bridge, derive the horizon, step if an event
 // lies inside it, park otherwise. A model panic retires the worker —
@@ -253,8 +244,8 @@ func (c *Coordinator) asyncWorker(s *shard, sc *sched, limit sim.Time, wg *sync.
 			tx = time.Now()
 		}
 		h := sim.TimeMax
-		for i, ab := range s.aIn {
-			f, credit, bound := ab.FlushReaderSide()
+		for i, b := range s.inbound {
+			f, credit, bound := b.FlushReaderSide()
 			if credit || bound {
 				c.ctr.flushes.Add(1)
 				c.poke(sc, s.idx, s.inPeer[i], credit)
@@ -263,14 +254,9 @@ func (c *Coordinator) asyncWorker(s *shard, sc *sched, limit sim.Time, wg *sync.
 				h = f
 			}
 		}
-		for i, ab := range s.aOut {
-			deferData := false
-			if c.hooks != nil && c.hooks.DeferFlush != nil {
-				if _, staged := ab.(StagedBridge); staged {
-					deferData = c.hooks.DeferFlush(ab, s.advs)
-				}
-			}
-			wf, data, bound := ab.FlushWriterSide(deferData)
+		for i, b := range s.outbound {
+			deferData := c.hooks != nil && c.hooks.DeferFlush != nil && c.hooks.DeferFlush(b, s.advs)
+			wf, data, bound := b.FlushWriterSide(deferData)
 			if data || bound {
 				c.ctr.flushes.Add(1)
 				c.poke(sc, s.idx, s.outPeer[i], data)
@@ -312,13 +298,12 @@ func (c *Coordinator) asyncWorker(s *shard, sc *sched, limit sim.Time, wg *sync.
 	}
 }
 
-// runAsync drives a multi-shard run under the frontier-driven scheduler.
-// Between rendezvous the workers own all shared state (each bridge is
-// touched only by its two endpoint workers, through the bridge's own
-// lock); at a rendezvous every live worker is parked under sc.mu, so
-// this goroutine has exclusive access to everything — the same global
-// safe point a barrier provides, reached only when asynchronous progress
-// is exhausted.
+// runAsync drives a run under the frontier-driven scheduler. Between
+// rendezvous the workers own all shared state (each bridge is touched
+// only by its two endpoint workers, through the bridge's own lock); at a
+// rendezvous every live worker is parked under sc.mu, so this goroutine
+// has exclusive access to everything — a global safe point, reached only
+// when asynchronous progress is exhausted.
 func (c *Coordinator) runAsync(limit sim.Time) {
 	n := len(c.shards)
 	sc := &sched{
@@ -377,10 +362,10 @@ func (c *Coordinator) runAsync(limit sim.Time) {
 		}
 		// Global safe point. Force-flush every bridge (delivering
 		// anything an injection hook withheld) and recompute every
-		// horizon with full barrier-grade knowledge — Frontier() sees
-		// the writer kernel's clock and local dates, which the
-		// asynchronously published bounds conservatively lag.
-		c.flushBridges(true)
+		// horizon with full knowledge — Frontier() sees the writer
+		// kernel's clock and local dates, which the asynchronously
+		// published bounds conservatively lag.
+		c.flushBridges()
 		work := c.selectByFrontiers(limit)
 		if work == 0 {
 			if work = c.fallback(limit); work == 0 {
@@ -394,7 +379,6 @@ func (c *Coordinator) runAsync(limit sim.Time) {
 				tl.mark(tl.coordRow(), tlFallback, 0)
 			}
 		}
-		c.ctr.rounds.Add(1)
 		granted := 0
 		sc.mu.Lock()
 		for _, s := range c.shards {

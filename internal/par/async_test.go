@@ -1,9 +1,9 @@
 package par_test
 
-// Edge cases of the asynchronous frontier-driven scheduler: frontier
-// publication racing Interrupt, the credit-blocked write-frontier cap,
-// the global-minimum fallback, and barrier/async date equivalence. Run
-// with -race: these tests exist to expose cross-worker ordering bugs.
+// Edge cases of the frontier-driven scheduler: frontier publication
+// racing Interrupt, the credit-blocked write-frontier cap and the
+// global-minimum fallback. Run with -race: these tests exist to expose
+// cross-worker ordering bugs.
 
 import (
 	"testing"
@@ -82,38 +82,6 @@ func chainRef(n int) *trace.Recorder {
 	k.Run(sim.RunForever)
 	k.Shutdown()
 	return rec
-}
-
-// TestBarrierMatchesAsyncDates pins the scheduler-equivalence contract:
-// the forced barrier scheduler and the default async one produce traces
-// byte-identical to each other and to the single-kernel reference.
-func TestBarrierMatchesAsyncDates(t *testing.T) {
-	defer leakcheck.Check(t)()
-	const n = 400
-	ref := chainRef(n)
-
-	async, asyncRec := buildChain(n)
-	async.Run(sim.RunForever)
-	defer async.Shutdown()
-	if d := trace.Diff(ref, asyncRec); d != "" {
-		t.Fatalf("async trace differs from single-kernel reference:\n%s", d)
-	}
-
-	barrier, barrierRec := buildChain(n)
-	barrier.SetBarrier(true)
-	barrier.Run(sim.RunForever)
-	defer barrier.Shutdown()
-	if d := trace.Diff(ref, barrierRec); d != "" {
-		t.Fatalf("barrier trace differs from single-kernel reference:\n%s", d)
-	}
-	// The barrier scheduler dispatches every advance from a rendezvous;
-	// the async one mostly advances between rendezvous.
-	if st := barrier.Stats(); st.Rounds == 0 || st.Advances == 0 {
-		t.Errorf("barrier run recorded no work: %+v", st)
-	}
-	if st := async.Stats(); st.Advances == 0 {
-		t.Errorf("async run recorded no advances: %+v", st)
-	}
 }
 
 // TestAsyncInterruptRace interrupts the async run from another goroutine

@@ -3,6 +3,7 @@ package par_test
 import (
 	"context"
 	"errors"
+	"fmt"
 	"runtime"
 	"strings"
 	"testing"
@@ -138,49 +139,79 @@ func TestStallDiagnosticStringTimeMax(t *testing.T) {
 
 // TestGoexitInShardComesBack: a thread body that ends its goroutine
 // (runtime.Goexit, which is what t.FailNow does) takes the shard's
-// worker with it, beyond recover's reach. Both schedulers must hand the
-// guarded caller an error naming the process instead of waiting forever
-// for the vanished worker.
+// worker with it, beyond recover's reach; the guarded caller must get an
+// error naming the process instead of waiting forever for the vanished
+// worker. A one-shard coordinator steps its kernel on a worker too, so
+// its failures — a Goexit, or a model panic whose text must arrive
+// exactly as a plain Kernel.Run would raise it — cross a goroutine the
+// same way.
 func TestGoexitInShardComesBack(t *testing.T) {
-	for _, barrier := range []bool{false, true} {
-		t.Run(map[bool]string{false: "async", true: "barrier"}[barrier], func(t *testing.T) {
-			defer leakcheck.Check(t)()
-			// Two source shards feeding a sink: both sources have work
-			// at date zero, so the barrier scheduler runs them on
-			// workers too rather than inline.
-			ka, kb, kc := sim.NewKernel("a"), sim.NewKernel("b"), sim.NewKernel("c")
-			c := par.NewCoordinator()
-			for _, k := range []*sim.Kernel{ka, kb, kc} {
-				c.AddShard(k)
+	// threeShards feeds a sink from two source shards; the quitter is on
+	// shard 0.
+	threeShards := func(c *par.Coordinator, quit func()) {
+		ka, kb, kc := sim.NewKernel("a"), sim.NewKernel("b"), sim.NewKernel("c")
+		for _, k := range []*sim.Kernel{ka, kb, kc} {
+			c.AddShard(k)
+		}
+		fa := core.NewSharded[int](ka, kc, "fa", 4)
+		fb := core.NewSharded[int](kb, kc, "fb", 4)
+		c.AddBridge(fa)
+		c.AddBridge(fb)
+		ka.Thread("quitter", func(p *sim.Process) {
+			fa.Writer().Write(1)
+			quit()
+		})
+		kb.Thread("src", func(p *sim.Process) {
+			for i := 0; i < 100; i++ {
+				p.Inc(sim.NS)
+				fb.Writer().Write(i)
 			}
+		})
+		kc.Thread("sink", func(p *sim.Process) {
+			fa.Reader().Read()
+			for i := 0; i < 100; i++ {
+				fb.Reader().Read()
+			}
+		})
+	}
+	// oneShard runs the quitter and its reader on one kernel over a
+	// self-bridge.
+	oneShard := func(c *par.Coordinator, quit func()) {
+		k := sim.NewKernel("solo")
+		c.AddShard(k)
+		f := core.NewSharded[int](k, k, "f", 4)
+		c.AddBridge(f)
+		k.Thread("quitter", func(p *sim.Process) {
+			p.Inc(sim.NS)
+			f.Writer().Write(1)
+			quit()
+		})
+		k.Thread("sink", func(p *sim.Process) {
+			for {
+				f.Reader().Read()
+			}
+		})
+	}
+	for _, tc := range []struct {
+		name  string
+		build func(*par.Coordinator, func())
+		quit  func()
+		want  string // the re-raised value's exact text
+	}{
+		{"async", threeShards, runtime.Goexit, `par: shard 0: process "quitter" called runtime.Goexit`},
+		{"one_shard", oneShard, runtime.Goexit, `par: shard 0: process "quitter" called runtime.Goexit`},
+		{"one_shard_panic", oneShard, func() { panic("boom") }, `sim: process "quitter" panicked: boom`},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			defer leakcheck.Check(t)()
+			c := par.NewCoordinator()
 			defer c.Shutdown()
-			fa := core.NewSharded[int](ka, kc, "fa", 4)
-			fb := core.NewSharded[int](kb, kc, "fb", 4)
-			c.AddBridge(fa)
-			c.AddBridge(fb)
-			c.SetBarrier(barrier)
-			ka.Thread("quitter", func(p *sim.Process) {
-				fa.Writer().Write(1)
-				runtime.Goexit()
-			})
-			kb.Thread("src", func(p *sim.Process) {
-				for i := 0; i < 100; i++ {
-					p.Inc(sim.NS)
-					fb.Writer().Write(i)
-				}
-			})
-			kc.Thread("sink", func(p *sim.Process) {
-				fa.Reader().Read()
-				for i := 0; i < 100; i++ {
-					fb.Reader().Read()
-				}
-			})
+			tc.build(c, tc.quit)
 			ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 			defer cancel()
 			defer func() {
-				err, _ := recover().(error)
-				if err == nil || !strings.Contains(err.Error(), `process "quitter" called runtime.Goexit`) {
-					t.Errorf("recovered %v, want an error naming the process", err)
+				if r := recover(); fmt.Sprint(r) != tc.want {
+					t.Errorf("recovered %T %v, want %q", r, r, tc.want)
 				}
 			}()
 			err := c.RunGuarded(ctx, sim.RunForever, 0)

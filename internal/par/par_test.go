@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/leakcheck"
 	"repro/internal/par"
 	"repro/internal/sim"
 	"repro/internal/trace"
@@ -124,8 +125,10 @@ func TestShardedSelfBridge(t *testing.T) {
 
 // TestShardedChain runs a three-stage chain over two bridges on three
 // shards, with a middle stage that transforms data, and checks values and
-// final dates against a one-kernel SmartFIFO build of the same model.
+// final dates against a one-kernel SmartFIFO build of the same model. No
+// worker may outlive the run.
 func TestShardedChain(t *testing.T) {
+	defer leakcheck.Check(t)()
 	const n = 400
 	build := func(k1, k2, k3 *sim.Kernel, mk func(a, b *sim.Kernel, name string) (w interface{ Write(int) }, r interface{ Read() int }), rec *trace.Recorder) {
 		w1, r1 := mk(k1, k2, "c1")
@@ -187,7 +190,7 @@ func TestShardedChain(t *testing.T) {
 // contract: a process that advances time freely (a poller) on the reading
 // shard is bounded by the inbound frontier, so its shard advances in
 // step with the writer instead of blasting ahead — visible as many
-// barrier rounds instead of one. All mutable state stays shard-local;
+// advances instead of one. All mutable state stays shard-local;
 // only the bridge crosses the boundary.
 func TestCoordinatorHorizonThrottlesFreeRunner(t *testing.T) {
 	const n = 50

@@ -25,14 +25,13 @@ import (
 type tlKind uint8
 
 const (
-	tlExchange tlKind = iota // duration: one exchange+horizon pass; arg = derived horizon
-	tlStep                   // duration: one Kernel.Step; arg = shard advance ordinal
-	tlPark                   // duration: parked; arg = 1 when horizon-capped
-	tlPokeHard               // instant on the POKER's row; arg = poked peer
-	tlPokeSoft               // instant on the poker's row; arg = poked peer
-	tlRendezvous             // duration on the coordinator row; arg = grants issued
-	tlFallback               // instant on the coordinator row
-	tlRound                  // duration: one barrier round; arg = shards stepped
+	tlExchange   tlKind = iota // duration: one exchange+horizon pass; arg = derived horizon
+	tlStep                     // duration: one Kernel.Step; arg = shard advance ordinal
+	tlPark                     // duration: parked; arg = 1 when horizon-capped
+	tlPokeHard                 // instant on the POKER's row; arg = poked peer
+	tlPokeSoft                 // instant on the poker's row; arg = poked peer
+	tlRendezvous               // duration on the coordinator row; arg = grants issued
+	tlFallback                 // instant on the coordinator row
 )
 
 // tlEvent is one ring record; offsets are ns since the timeline start.
@@ -135,8 +134,6 @@ func kindMeta(k tlKind) (name, argKey string) {
 		return "rendezvous", "grants"
 	case tlFallback:
 		return "fallback", "tmin"
-	case tlRound:
-		return "round", "work"
 	}
 	return "?", "arg"
 }
@@ -158,7 +155,7 @@ func (t *Timeline) WriteChromeTrace(w io.Writer) error {
 			name, argKey := kindMeta(e.kind)
 			ts := float64(e.t0) / 1e3
 			if e.t1 > e.t0 || e.kind == tlExchange || e.kind == tlStep ||
-				e.kind == tlPark || e.kind == tlRendezvous || e.kind == tlRound {
+				e.kind == tlPark || e.kind == tlRendezvous {
 				fmt.Fprintf(b, `,{"name":%q,"ph":"X","pid":1,"tid":%d,"ts":%.3f,"dur":%.3f,"args":{%q:%d}}`,
 					name, tid, ts, float64(e.t1-e.t0)/1e3, argKey, e.arg)
 			} else {
@@ -172,15 +169,15 @@ func (t *Timeline) WriteChromeTrace(w io.Writer) error {
 }
 
 // traceCapacity, when positive, arms automatic capture: every
-// subsequent multi-shard Run records a fresh Timeline of that many
-// events per row and publishes it through LastTrace on completion.
+// subsequent Run records a fresh Timeline of that many events per row
+// and publishes it through LastTrace on completion.
 var traceCapacity atomic.Int64
 
 // lastTrace is the most recently completed auto-captured timeline.
 var lastTrace atomic.Pointer[Timeline]
 
 // SetTraceCapture arms (perWorker > 0) or disarms (0) automatic
-// timeline capture for multi-shard runs; the finished trace of the
+// timeline capture for coordinator runs; the finished trace of the
 // most recent Run is available from LastTrace. This is the switch
 // behind the -simtrace benchmark flags and the simd debug endpoint.
 func SetTraceCapture(perWorker int) { traceCapacity.Store(int64(perWorker)) }

@@ -38,7 +38,7 @@ type Stats struct {
 // runtime.LockOSThread. Distinct kernels share nothing and may run
 // concurrently: a partitioned simulation drives one kernel per shard
 // through Step under a conservative coordinator (internal/par), with each
-// shard's clock advancing independently between barriers.
+// shard's clock advancing independently inside its own horizon.
 //
 // The kernel's hot paths — Wait, Sync, delayed notification, the
 // evaluate/delta/timed loop — are allocation-free in steady state: timed
@@ -236,9 +236,9 @@ func (k *Kernel) NextEventAt() (at Time, ok bool) {
 // process, delta notification and timed notification dated at or before
 // limit (no bound when limit == RunForever) — and reports whether any
 // activity was dispatched. Each kernel is single-threaded, but distinct
-// kernels may Step concurrently; the shard coordinator (internal/par) calls
-// Step once per barrier round with the shard's conservative horizon as the
-// limit.
+// kernels may Step concurrently; each shard worker of the coordinator
+// (internal/par) calls Step with its shard's conservative horizon as the
+// limit whenever an event lies inside it.
 //
 // Step polls the interrupt flag (see Interrupt) at safe points — phase
 // boundaries and every few dozen dispatches — and returns early when it
