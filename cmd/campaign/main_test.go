@@ -188,3 +188,69 @@ func TestGoldenMesh(t *testing.T) {
 		t.Fatalf("mesh sweep: %d points, %d distinct digests (want 9 points, 1 digest)", n, len(digests))
 	}
 }
+
+// TestGoldenMeshProfileGuided pins the profile-guided loop on the mesh
+// spec: -profile-guided output is byte-identical at 1 and 4 workers,
+// every point keeps the golden's dated-log digest (placement never
+// changes dates), every profiled point's kept placement dominates the
+// hint placement on crossings and cut weight, and at least one point
+// was rewritten to the profiled partitioner.
+func TestGoldenMeshProfileGuided(t *testing.T) {
+	type point struct {
+		Params  map[string]any `json:"params"`
+		Outcome struct {
+			DatesHash string            `json:"dates_hash"`
+			Counters  map[string]uint64 `json:"counters"`
+		} `json:"outcome"`
+	}
+	decode := func(js []byte) []point {
+		var doc struct {
+			Points []point `json:"points"`
+		}
+		if err := json.Unmarshal(js, &doc); err != nil {
+			t.Fatal(err)
+		}
+		return doc.Points
+	}
+	golden, err := os.ReadFile("testdata/mesh.golden.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var outs []string
+	for _, workers := range []int{1, 4} {
+		var out, errBuf bytes.Buffer
+		code := run([]string{
+			"-spec", "testdata/mesh.json",
+			"-profile-guided",
+			"-workers", strconv.Itoa(workers),
+		}, &out, &errBuf)
+		if code != 0 {
+			t.Fatalf("workers=%d: exit %d, stderr: %s", workers, code, errBuf.String())
+		}
+		outs = append(outs, out.String())
+	}
+	if outs[0] != outs[1] {
+		t.Fatal("profile-guided output differs between 1 and 4 workers")
+	}
+	guided, ref := decode([]byte(outs[0])), decode(golden)
+	if len(guided) != len(ref) {
+		t.Fatalf("%d points, golden has %d", len(guided), len(ref))
+	}
+	profiled := 0
+	for i, p := range guided {
+		if p.Outcome.DatesHash != ref[i].Outcome.DatesHash {
+			t.Errorf("point %d %v: dates_hash %s, golden %s", i, p.Params, p.Outcome.DatesHash, ref[i].Outcome.DatesHash)
+		}
+		if p.Params["partitioner"] != "profiled" {
+			continue
+		}
+		profiled++
+		c := p.Outcome.Counters
+		if c["crossings_after"] > c["crossings_before"] || c["cut_weight_after"] > c["cut_weight_before"] {
+			t.Errorf("point %d %v: kept placement does not dominate: %v", i, p.Params, c)
+		}
+	}
+	if profiled == 0 {
+		t.Fatal("no point was rewritten to the profiled partitioner")
+	}
+}

@@ -95,7 +95,7 @@ type Options struct {
 	// sharded execution the point's single-kernel twin runs once through
 	// the shared cache (it is the same dated run, so it is
 	// cache-eligible and dedups against explicit single-kernel points),
-	// leaving the model's profile cache warm. The rewrite is a
+	// leaving netlist.Elaborate's profile cache warm. The rewrite is a
 	// deterministic function of the expansion, so results stay
 	// byte-identical across worker counts.
 	ProfileGuided bool
@@ -434,8 +434,9 @@ func hasKey(keys []string, k string) bool {
 // the measurement phase. The twin is the same dated run (outcomes and
 // profiles are schedule-independent), so it flows through the shared
 // outcome cache like any point and dedups against explicit
-// single-kernel points of the sweep; executing it leaves the model's
-// process-wide profile cache warm for the sharded run that follows.
+// single-kernel points of the sweep; executing it leaves
+// netlist.Elaborate's process-wide profile cache warm for the sharded
+// run that follows.
 // Twin failures are deliberately non-fatal: the sharded run re-profiles
 // inline if it must.
 func profilePoint(ctx context.Context, m scenario.Model, pt scenario.Point, opt Options, pr *PointResult, cacheHits *atomic.Int64) {

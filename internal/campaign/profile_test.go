@@ -8,9 +8,9 @@ import (
 	"repro/internal/scenario"
 )
 
-// shardedSet sweeps the two shardable, partitioner-aware models plus one
-// model with no partitioner axis (which profile guidance must leave
-// alone).
+// shardedSet sweeps every shardable, partitioner-aware model, each at
+// one and more shards, plus single-kernel kpn points (which profile
+// guidance must leave alone).
 func shardedSet() scenario.Set {
 	return scenario.Set{
 		Name: "sharded",
@@ -36,6 +36,18 @@ func shardedSet() scenario.Set {
 				Matrix: map[string][]any{
 					"stages": []any{2, 3},
 				},
+			},
+			{
+				Model:  "kpn",
+				Params: scenario.Params{"tokens": 8, "stages": 3, "shards": 2},
+			},
+			{
+				Model:  "noc",
+				Params: scenario.Params{"words": 8, "meshes": 2, "shards": 2},
+			},
+			{
+				Model:  "pipeline",
+				Params: scenario.Params{"blocks": 2, "words_per_block": 20, "shards": 2},
 			},
 		},
 	}
@@ -90,7 +102,7 @@ func TestProfileGuidedCampaign(t *testing.T) {
 			if wa, wb := gp.Outcome.Counters["cut_weight_after"], gp.Outcome.Counters["cut_weight_before"]; wa > wb {
 				t.Errorf("point %d: cut_weight_after %d > cut_weight_before %d", i, wa, wb)
 			}
-		} else if shardsOf(gp.Params) > 1 && gp.Model != "kpn" {
+		} else if shardsOf(gp.Params) > 1 {
 			t.Errorf("point %d (%s): sharded point not rewritten: %v", i, gp.Model, gp.Params)
 		}
 	}

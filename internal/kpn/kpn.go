@@ -47,7 +47,11 @@ type Network struct {
 	// Decoupled and every channel Bind-ed). 0 or 1 builds one kernel.
 	Shards int
 	// Partitioner names the netlist partitioner for sharded builds
-	// ("single", "roundrobin" — the default — or "mincut").
+	// ("single", "roundrobin" — the default — or "mincut"). "profiled"
+	// needs a second, freshly declared copy of the network to measure,
+	// which a hand-built Network cannot produce of itself: profiled kpn
+	// chains go through the "kpn" scenario model, which declares its
+	// chain through netlist.Elaborate.
 	Partitioner string
 
 	name  string

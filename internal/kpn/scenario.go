@@ -179,10 +179,26 @@ func runScenario(ctx context.Context, p scenario.Params) (scenario.Outcome, erro
 	if err != nil {
 		return scenario.Outcome{}, err
 	}
-	net := New("kpn", c.decoupled)
-	net.Shards, net.Partitioner = c.shards, c.partitioner
+	impl := netlist.Plain
+	if c.decoupled {
+		impl = netlist.Smart
+	}
+	part, _ := netlist.PartitionerByName(c.partitioner) // validated by chainConfig
+	// The profile-cache key: the chain's dated shape without its
+	// placement. The adapter hands Elaborate's build to the Network.
+	key := c
+	key.shards, key.partitioner = 0, ""
 	var checksum uint64
-	chainBuilder(c, &checksum)(net)
+	b, net, err := netlist.Elaborate(ctx, key, netlist.Options{Shards: c.shards, Partitioner: part, Impl: impl},
+		func() (*netlist.Graph, *Network) {
+			net := New("kpn", c.decoupled)
+			chainBuilder(c, &checksum)(net)
+			return net.g, net
+		})
+	if err != nil {
+		return scenario.Outcome{}, err
+	}
+	net.built, net.K = b, b.Kernels[0]
 	runErr := net.RunCtx(ctx)
 	stats := net.Stats()
 	entries := net.Trace().Sorted()
@@ -202,20 +218,22 @@ func runScenario(ctx context.Context, p scenario.Params) (scenario.Outcome, erro
 	// Kernel-stat counters are schedule-dependent for sharded runs
 	// (see scenario.Outcome.CtxSwitches); report them single-kernel only.
 	ctxSw := stats.ContextSwitches
-	if net.Build().Shards() > 1 {
+	if b.Shards() > 1 {
 		ctxSw = 0
 	}
+	counters := map[string]uint64{
+		"trace_entries": uint64(len(entries)),
+		"tokens":        uint64(c.tokens),
+		"shards":        uint64(b.Shards()),
+		"crossings":     uint64(b.Crossings),
+	}
+	b.Placement.AddCounters(counters)
 	return scenario.Outcome{
 		SimEndNS:    int64(simEnd / sim.NS),
 		CtxSwitches: ctxSw,
 		Checksums:   []uint64{checksum},
 		DatesHash:   d.Sum(),
-		Counters: map[string]uint64{
-			"trace_entries": uint64(len(entries)),
-			"tokens":        uint64(c.tokens),
-			"shards":        uint64(net.Build().Shards()),
-			"crossings":     uint64(net.Build().Crossings),
-		},
+		Counters:    counters,
 	}, nil
 }
 

@@ -28,17 +28,17 @@
 // partitioner places each group as one unit.
 //
 // The "profiled" partitioner closes the loop from measured traffic to
-// placement: run the model once (typically single-kernel), harvest
-// Build.Profile — per-channel word counts and per-module dispatch
-// counts — and feed the artifact back through Options.Profile. Build
-// re-weights the unit graph with the measured counters, runs the same
-// greedy min-cut, and keeps the measured placement only when it
-// dominates the hint-driven one on both crossings and cut weight
-// (Build.Placement reports both costs). Profiles are
-// schedule-independent: word and dispatch counts are facts of the
-// model's dated behaviour, which every partitioning reproduces exactly,
-// so a profile harvested under any schedule is valid for every build of
-// the same model and never goes stale in a ProfileCache.
+// placement. Elaborate runs the model once single-kernel, harvests its
+// Profile — per-channel word counts and per-module dispatch counts — and
+// builds the sharded copy from it; Build re-weights the unit graph with
+// the measured counters, runs the same greedy min-cut, and keeps the
+// measured placement only when it dominates the hint-driven one on both
+// crossings and cut weight (Build.Placement reports both costs).
+// Profiles are schedule-independent: word and dispatch counts are facts
+// of the model's dated behaviour, which every partitioning reproduces
+// exactly, so a profile harvested under any schedule is valid for every
+// build of the same model and never goes stale in Elaborate's
+// process-wide cache.
 package netlist
 
 import (
@@ -376,10 +376,15 @@ type Options struct {
 	// Smart builds can be sharded.
 	Impl ChanImpl
 	// Profile is the measured-traffic artifact consumed by the
-	// "profiled" partitioner (harvested from a prior run of the same
-	// model via Build.Profile). Required when Partitioner is Profiled
-	// and Shards > 1; ignored otherwise.
+	// "profiled" partitioner. Required when Partitioner is Profiled and
+	// Shards > 1, ignored otherwise; Elaborate fills it in from a
+	// single-kernel run of the same model.
 	Profile *Profile
+}
+
+// profiled reports whether the options ask for a measured placement.
+func (o Options) profiled() bool {
+	return o.Shards > 1 && o.Partitioner != nil && o.Partitioner.Name() == Profiled.Name()
 }
 
 // Build is an elaborated graph: the kernels, the coordinator when sharded,
@@ -408,6 +413,11 @@ type Build struct {
 	// procs records each module's elaborated processes (by module
 	// index) so Profile can attribute dispatch counts to modules.
 	procs [][]*sim.Process
+	// key is the profile-cache key Elaborate was given (nil: none) and
+	// impl the channel implementation; RunGuarded harvests into the
+	// cache when both make the run a valid profiling run.
+	key  any
+	impl ChanImpl
 }
 
 // Build partitions the graph and elaborates it: kernels are created,
@@ -452,14 +462,14 @@ func (g *Graph) Build(opt Options) (*Build, error) {
 	}
 	var placement *PlacementCost
 	var ua []int
-	if p.Name() == Profiled.Name() && shards > 1 {
+	if opt.profiled() {
 		// The measurement→placement loop: cost the hint-driven greedy
 		// min-cut under the measured weights, cut the measured graph,
 		// and keep the measured placement only where it dominates the
 		// hint placement on both crossings and cut weight — so a
 		// profiled build never pays more than the static mincut would.
 		if opt.Profile == nil {
-			return nil, fmt.Errorf("netlist: %s: partitioner %q needs Options.Profile (run the model single-kernel and harvest Build.Profile)", g.name, p.Name())
+			return nil, fmt.Errorf("netlist: %s: partitioner %q needs Options.Profile (elaborate through netlist.Elaborate, or set Options.Profile)", g.name, p.Name())
 		}
 		mpg := g.measuredPartGraph(units, unitOf, opt.Profile)
 		aHint := greedyMinCut(pg, shards)
@@ -496,6 +506,7 @@ func (g *Graph) Build(opt Options) (*Build, error) {
 		Assignment: make([]int, len(g.modules)),
 		Placement:  placement,
 		procs:      make([][]*sim.Process, len(g.modules)),
+		impl:       opt.Impl,
 	}
 	for mi := range g.modules {
 		b.Assignment[mi] = ua[unitOf[mi]]
@@ -659,12 +670,21 @@ func (b *Build) Run(limit sim.Time) {
 // returns nil on completion, ctx.Err() on plain cancellation, and a
 // *par.StallError with a structured diagnostic on deadline or stall.
 // With a background ctx and no window it is exactly Run.
+//
+// A build from Elaborate with a non-nil key that runs single-kernel on
+// Smart channels to quiescence is a valid profiling run (profiles are
+// schedule-independent): RunGuarded stores its Profile under that key
+// for a later sharded build of the same model.
 func (b *Build) RunGuarded(ctx context.Context, limit sim.Time) error {
 	stall := par.StallWindowFrom(ctx)
 	if b.Coord != nil {
 		return b.Coord.RunGuarded(ctx, limit, stall)
 	}
-	return par.RunKernel(ctx, b.Kernels[0], limit, stall)
+	err := par.RunKernel(ctx, b.Kernels[0], limit, stall)
+	if err == nil && b.key != nil && b.impl == Smart && limit == sim.RunForever {
+		profiles.put(b.key, b.Profile())
+	}
+	return err
 }
 
 // Stats sums the kernel activity counters over the shards.

@@ -1,16 +1,19 @@
 package netlist
 
 import (
+	"context"
 	"sync"
 
 	"repro/internal/core"
+	"repro/internal/sim"
 )
 
 // A Profile is the measured-traffic artifact the profile-guided
 // partitioner consumes: per-channel word counts and block rates, and
 // per-module dispatch counts, keyed by the graph's channel and module
-// names. Harvest one from a finished build with Build.Profile and feed
-// it back through Options.Profile.
+// names. Elaborate harvests one from a single-kernel run and feeds it
+// back through Options.Profile; Build.Profile and Options.Profile are
+// the two halves of that loop for callers wiring it by hand.
 //
 // Profiles are schedule-independent: word counts, block occurrences and
 // dispatch counts are facts of the model's dated behaviour, which every
@@ -140,35 +143,76 @@ func (pc *PlacementCost) AddCounters(m map[string]uint64) {
 	m["cut_weight_after"] = uint64(pc.CutWeightAfter)
 }
 
-// ProfileCache memoizes profiles by an arbitrary comparable key
-// (typically the model's config struct), shared across goroutines.
-// Because profiles are schedule-independent, a cached entry is always
-// valid for its key; the cache is bounded only to keep long campaign
-// sweeps from accumulating entries without limit.
-type ProfileCache struct {
+// Elaborate is the one profile-guided build path: it declares the model
+// and builds it with opt. declare returns a fresh copy of the model's
+// graph plus the state its bodies write into (a graph elaborates at
+// most once, so every call must declare anew). When opt asks for the
+// Profiled partitioner on more than one shard and carries no Profile,
+// Elaborate first looks key up in the process-wide profile cache; on a
+// miss it declares a second copy, runs it single-kernel on Smart
+// channels under ctx and harvests its profile.
+//
+// key is any comparable value that fixes the model's dates but not its
+// placement (no shard count, no partitioner); nil disables caching.
+// Profiles are schedule-independent, so a cached entry never goes stale
+// for its key. The returned build remembers key: running it
+// single-kernel on Smart channels to quiescence with RunGuarded warms
+// the cache for a later sharded build of the same model.
+func Elaborate[S any](ctx context.Context, key any, opt Options, declare func() (*Graph, S)) (*Build, S, error) {
+	if opt.Profile == nil && opt.profiled() {
+		prof, ok := profiles.get(key)
+		if !ok {
+			g, _ := declare()
+			pb, err := g.Build(Options{Impl: Smart})
+			if err == nil {
+				err = pb.RunGuarded(ctx, sim.RunForever)
+				pb.Shutdown()
+			}
+			if err != nil {
+				var zero S
+				return nil, zero, err
+			}
+			prof = pb.Profile()
+			profiles.put(key, prof)
+		}
+		opt.Profile = prof
+	}
+	g, s := declare()
+	b, err := g.Build(opt)
+	if err != nil {
+		return nil, s, err
+	}
+	b.key = key
+	return b, s, nil
+}
+
+// profiles memoizes measured profiles by Elaborate key, shared across
+// goroutines. It is bounded only to keep long campaign sweeps from
+// accumulating entries without limit: on overflow it is simply cleared
+// (a miss just re-runs a single-kernel profiling pass).
+var profiles = &profileCache{m: map[any]*Profile{}}
+
+const profileCacheLimit = 256
+
+type profileCache struct {
 	mu sync.Mutex
 	m  map[any]*Profile
 }
 
-// profileCacheLimit bounds the cache; on overflow it is simply cleared
-// (a miss just re-runs a single-kernel profiling pass).
-const profileCacheLimit = 256
-
-// NewProfileCache returns an empty cache.
-func NewProfileCache() *ProfileCache {
-	return &ProfileCache{m: map[any]*Profile{}}
-}
-
-// Get returns the cached profile for key, if any.
-func (c *ProfileCache) Get(key any) (*Profile, bool) {
+func (c *profileCache) get(key any) (*Profile, bool) {
+	if key == nil {
+		return nil, false
+	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	p, ok := c.m[key]
 	return p, ok
 }
 
-// Put stores the profile for key.
-func (c *ProfileCache) Put(key any, p *Profile) {
+func (c *profileCache) put(key any, p *Profile) {
+	if key == nil {
+		return
+	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if len(c.m) >= profileCacheLimit {

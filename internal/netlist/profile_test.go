@@ -1,6 +1,7 @@
 package netlist
 
 import (
+	"context"
 	"encoding/json"
 	"reflect"
 	"strings"
@@ -191,21 +192,104 @@ func TestPlacementCostCounters(t *testing.T) {
 	}
 }
 
-// TestProfileCache covers hit, miss and the overflow clear.
+// TestProfileCache covers hit, miss, the nil key and the overflow clear.
 func TestProfileCache(t *testing.T) {
-	c := NewProfileCache()
-	if _, ok := c.Get("k"); ok {
+	c := &profileCache{m: map[any]*Profile{}}
+	if _, ok := c.get("k"); ok {
 		t.Fatal("hit on empty cache")
 	}
 	p := &Profile{}
-	c.Put("k", p)
-	if got, ok := c.Get("k"); !ok || got != p {
-		t.Fatalf("Get = %v, %v", got, ok)
+	c.put("k", p)
+	if got, ok := c.get("k"); !ok || got != p {
+		t.Fatalf("get = %v, %v", got, ok)
+	}
+	c.put(nil, p)
+	if _, ok := c.get(nil); ok {
+		t.Fatal("a nil key was cached")
 	}
 	for i := 0; i < profileCacheLimit; i++ {
-		c.Put(i, p)
+		c.put(i, p)
 	}
 	if len(c.m) > profileCacheLimit {
 		t.Fatalf("cache grew to %d entries past the limit", len(c.m))
+	}
+}
+
+// TestElaborate counts the copies of the model Elaborate declares for a
+// profiled two-shard build, after a warm-up step that shares its key: a
+// cold key measures a copy first, a warm key does not, a nil key always
+// does, and only a keyed single-kernel Smart run to quiescence warms the
+// cache.
+func TestElaborate(t *testing.T) {
+	profiles.mu.Lock()
+	profiles.m = map[any]*Profile{} // keys below are cold whatever ran before
+	profiles.mu.Unlock()
+
+	type key string
+	sharded := Options{Shards: 2, Partitioner: Profiled}
+	declare := func(n *int) func() (*Graph, *[]sim.Time) {
+		return func() (*Graph, *[]sim.Time) {
+			*n++
+			g, dates, _ := smallGraph(16, 2)
+			return g, dates
+		}
+	}
+	bg := context.Background()
+	cancelled, cancel := context.WithCancel(bg)
+	cancel()
+	// elaborate builds with opt and runs the build under ctx to limit.
+	elaborate := func(k any, opt Options, ctx context.Context, limit sim.Time) func(t *testing.T) {
+		return func(t *testing.T) {
+			var n int
+			b, _, err := Elaborate(bg, k, opt, declare(&n))
+			if err != nil {
+				t.Fatal(err)
+			}
+			b.RunGuarded(ctx, limit)
+			b.Shutdown()
+		}
+	}
+	cases := []struct {
+		name string
+		key  any
+		warm func(t *testing.T) // the step before the counted build
+		want int
+	}{
+		{"cold", key("cold"), nil, 2},
+		{"warm", key("warm"), elaborate(key("warm"), sharded, bg, sim.RunForever), 1},
+		{"nil_key", nil, elaborate(nil, sharded, bg, sim.RunForever), 2},
+		{"single_kernel_run_warms", key("run"), elaborate(key("run"), Options{}, bg, sim.RunForever), 1},
+		{"plain_run", key("plain"), elaborate(key("plain"), Options{Impl: Plain}, bg, sim.RunForever), 2},
+		{"time_limited_run", key("limited"), elaborate(key("limited"), Options{}, bg, 10*sim.NS), 2},
+		{"failed_run", key("failed"), elaborate(key("failed"), Options{}, cancelled, sim.RunForever), 2},
+	}
+	ref, refDates, _ := smallGraph(16, 2)
+	rb := ref.MustBuild(Options{})
+	rb.Run(sim.RunForever)
+	rb.Shutdown()
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			if tc.warm != nil {
+				tc.warm(t)
+			}
+			var n int
+			b, dates, err := Elaborate(bg, tc.key, sharded, declare(&n))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if n != tc.want {
+				t.Errorf("declared %d copies, want %d", n, tc.want)
+			}
+			if b.Placement == nil {
+				t.Error("no placement cost on a profiled build")
+			}
+			if err := b.RunGuarded(bg, sim.RunForever); err != nil {
+				t.Fatal(err)
+			}
+			b.Shutdown()
+			if !reflect.DeepEqual(*dates, *refDates) {
+				t.Error("the sharded copy's dates differ from the single-kernel reference")
+			}
+		})
 	}
 }

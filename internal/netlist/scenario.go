@@ -72,23 +72,17 @@ func RunTopo(t Topo, shards int, part Partitioner) (*TopoProbe, *Build, error) {
 // returning the guard's error. The build is shut down either way, so no
 // goroutine outlives an aborted run.
 func RunTopoCtx(ctx context.Context, t Topo, shards int, part Partitioner) (*TopoProbe, *Build, error) {
-	g, probe, err := NewTopoGraph(t)
-	if err != nil {
+	if err := t.Validate(); err != nil {
 		return nil, nil, err
 	}
 	impl := Smart
 	if !t.Decoupled {
 		impl = Plain
 	}
-	opt := Options{Shards: shards, Partitioner: part, Impl: impl}
-	if part != nil && part.Name() == Profiled.Name() && shards > 1 {
-		prof, err := topoProfile(ctx, t)
-		if err != nil {
-			return nil, nil, err
-		}
-		opt.Profile = prof
-	}
-	b, err := g.Build(opt)
+	b, probe, err := Elaborate(ctx, t, Options{Shards: shards, Partitioner: part, Impl: impl}, func() (*Graph, *TopoProbe) {
+		g, probe, _ := NewTopoGraph(t) // validated above
+		return g, probe
+	})
 	if err != nil {
 		return nil, nil, err
 	}
@@ -101,44 +95,7 @@ func RunTopoCtx(ctx context.Context, t Topo, shards int, part Partitioner) (*Top
 	if len(blocked) != 0 {
 		return nil, nil, fmt.Errorf("netlist: %s topology deadlocked: %v", t.Kind, blocked)
 	}
-	// Opportunistic harvest: any completed single-kernel Smart run is a
-	// valid profiling run (profiles are schedule-independent), so keep
-	// its counters around for a later profile-guided build of the same
-	// topology.
-	if b.Shards() == 1 && t.Decoupled {
-		topoProfiles.Put(t, b.Profile())
-	}
 	return probe, b, nil
-}
-
-// topoProfiles memoizes measured profiles per Topo value across runs —
-// safe because profiles are schedule-independent (any run of the same
-// topology yields the same word and dispatch counts).
-var topoProfiles = NewProfileCache()
-
-// topoProfile returns the measured profile for t, running the topology
-// once single-kernel on a cache miss (phase one of a profile-guided
-// sharded run).
-func topoProfile(ctx context.Context, t Topo) (*Profile, error) {
-	if p, ok := topoProfiles.Get(t); ok {
-		return p, nil
-	}
-	g, _, err := NewTopoGraph(t)
-	if err != nil {
-		return nil, err
-	}
-	b, err := g.Build(Options{Shards: 1, Impl: Smart})
-	if err != nil {
-		return nil, err
-	}
-	err = b.RunGuarded(ctx, sim.RunForever)
-	b.Shutdown()
-	if err != nil {
-		return nil, err
-	}
-	prof := b.Profile()
-	topoProfiles.Put(t, prof)
-	return prof, nil
 }
 
 func runScenario(ctx context.Context, p scenario.Params) (scenario.Outcome, error) {

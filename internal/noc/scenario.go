@@ -182,27 +182,51 @@ func islandGraph(g *netlist.Graph, island int, c streamParams, rec *trace.Record
 	}
 }
 
-// buildStreams elaborates the island graph: one kernel for the classic
-// single-island build, up to `meshes` kernels otherwise.
-func buildStreams(c streamParams, rec *trace.Recorder, sums []uint64) ([]*Mesh, *netlist.Build, error) {
-	g := netlist.New("noc")
-	meshes := make([]*Mesh, c.meshes)
-	for i := 0; i < c.meshes; i++ {
-		islandGraph(g, i, c, rec, sums, meshes)
-	}
+// streams is what one elaboration of the island graph writes into: the
+// consumers' dated delivery trace, their checksums (island*streams+s)
+// and the meshes.
+type streams struct {
+	rec    *trace.Recorder
+	sums   []uint64
+	meshes []*Mesh
+}
+
+// runStreams elaborates the island graph through netlist.Elaborate (one
+// kernel for the classic single-island build, up to `meshes` kernels
+// otherwise), runs it to quiescence and shuts it down.
+func runStreams(ctx context.Context, c streamParams) (*streams, *netlist.Build, error) {
 	impl := netlist.Plain
 	if c.decoupled {
 		impl = netlist.Smart
 	}
-	part, err := netlist.PartitionerByName(c.partitioner)
+	part, _ := netlist.PartitionerByName(c.partitioner) // validated by streamConfig
+	// The profile-cache key: the normalised config without its
+	// placement, rendered (the seeds slice is not comparable).
+	dated := c
+	dated.shards, dated.partitioner = 0, ""
+	key := fmt.Sprintf("noc %+v", dated)
+	b, st, err := netlist.Elaborate(ctx, key, netlist.Options{Shards: c.shards, Partitioner: part, Impl: impl},
+		func() (*netlist.Graph, *streams) {
+			st := &streams{rec: trace.NewRecorder(), sums: make([]uint64, c.meshes*c.streams), meshes: make([]*Mesh, c.meshes)}
+			g := netlist.New("noc")
+			for i := 0; i < c.meshes; i++ {
+				islandGraph(g, i, c, st.rec, st.sums, st.meshes)
+			}
+			return g, st
+		})
 	if err != nil {
 		return nil, nil, err
 	}
-	b, err := g.Build(netlist.Options{Shards: c.shards, Partitioner: part, Impl: impl})
-	if err != nil {
-		return nil, nil, err
+	runErr := b.RunGuarded(ctx, sim.RunForever)
+	blocked := b.Blocked()
+	b.Shutdown()
+	if runErr != nil {
+		return nil, nil, runErr
 	}
-	return meshes, b, nil
+	if len(blocked) != 0 {
+		return nil, nil, fmt.Errorf("noc: deadlock (decoupled=%v), blocked processes: %v", c.decoupled, blocked)
+	}
+	return st, b, nil
 }
 
 func runScenario(ctx context.Context, p scenario.Params) (scenario.Outcome, error) {
@@ -210,23 +234,11 @@ func runScenario(ctx context.Context, p scenario.Params) (scenario.Outcome, erro
 	if err != nil {
 		return scenario.Outcome{}, err
 	}
-	rec := trace.NewRecorder()
-	sums := make([]uint64, c.meshes*c.streams)
-	ms, b, err := buildStreams(c, rec, sums)
+	st, b, err := runStreams(ctx, c)
 	if err != nil {
 		return scenario.Outcome{}, err
 	}
-	runErr := b.RunGuarded(ctx, sim.RunForever)
-	blocked := b.Blocked()
-	stats := b.Stats()
-	b.Shutdown()
-	if runErr != nil {
-		return scenario.Outcome{}, runErr
-	}
-	if len(blocked) != 0 {
-		return scenario.Outcome{}, fmt.Errorf("noc: deadlock, blocked processes: %v", blocked)
-	}
-	entries := rec.Sorted()
+	entries := st.rec.Sorted()
 	if len(entries) != c.meshes*c.streams*c.words {
 		return scenario.Outcome{}, fmt.Errorf("noc: delivered %d words, want %d", len(entries), c.meshes*c.streams*c.words)
 	}
@@ -240,10 +252,10 @@ func runScenario(ctx context.Context, p scenario.Params) (scenario.Outcome, erro
 		}
 	}
 	var flits, packets uint64
-	for _, m := range ms {
-		st := m.Stats()
-		flits += st.FlitsForwarded
-		packets += st.PacketsDelivered
+	for _, m := range st.meshes {
+		ms := m.Stats()
+		flits += ms.FlitsForwarded
+		packets += ms.PacketsDelivered
 	}
 	// Kernel-stat counters (context switches, method activations) are
 	// schedule-dependent for sharded runs (see
@@ -256,6 +268,8 @@ func runScenario(ctx context.Context, p scenario.Params) (scenario.Outcome, erro
 		"shards":    uint64(b.Shards()),
 		"crossings": uint64(b.Crossings),
 	}
+	b.Placement.AddCounters(counters)
+	stats := b.Stats()
 	ctxSw := stats.ContextSwitches
 	if b.Shards() > 1 {
 		ctxSw = 0
@@ -265,7 +279,7 @@ func runScenario(ctx context.Context, p scenario.Params) (scenario.Outcome, erro
 	return scenario.Outcome{
 		SimEndNS:    int64(simEnd / sim.NS),
 		CtxSwitches: ctxSw,
-		Checksums:   sums,
+		Checksums:   st.sums,
 		DatesHash:   d.Sum(),
 		Counters:    counters,
 	}, nil
@@ -290,33 +304,16 @@ func checkScenario(ctx context.Context, p scenario.Params) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	run := func(decoupled bool, shards int) (*trace.Recorder, error) {
-		cc := c
-		cc.decoupled, cc.shards = decoupled, shards
-		rec := trace.NewRecorder()
-		sums := make([]uint64, cc.meshes*cc.streams)
-		_, b, err := buildStreams(cc, rec, sums)
-		if err != nil {
-			return nil, err
-		}
-		runErr := b.RunGuarded(ctx, sim.RunForever)
-		blocked := b.Blocked()
-		b.Shutdown()
-		if runErr != nil {
-			return nil, runErr
-		}
-		if len(blocked) != 0 {
-			return nil, fmt.Errorf("noc: deadlock (decoupled=%v): %v", decoupled, blocked)
-		}
-		return rec, nil
-	}
-	ref, err := run(false, 1)
+	ref, dec := c, c
+	ref.decoupled, ref.shards = false, 1
+	dec.decoupled = true
+	refSt, _, err := runStreams(ctx, ref)
 	if err != nil {
 		return "", err
 	}
-	dec, err := run(true, c.shards)
+	decSt, _, err := runStreams(ctx, dec)
 	if err != nil {
 		return "", err
 	}
-	return trace.Diff(ref, dec), nil
+	return trace.Diff(refSt.rec, decSt.rec), nil
 }

@@ -88,13 +88,14 @@ type Config struct {
 	// single-kernel build. Only Mode == TDfull can be sharded: the
 	// bridges are Smart FIFOs, and their dates are what makes the
 	// partitioning conservative. Asking for more shards than the model
-	// has modules (three) is an error — Run panics with a clear message
-	// instead of silently clamping.
+	// has modules (three) is an error — RunCtx returns it and Run panics
+	// with it, instead of silently clamping.
 	Shards int
 	// Partitioner names the netlist partitioner assigning modules to
 	// shards: "single", "roundrobin" (default), "mincut" or "profiled"
-	// (two-phase: a single-kernel run of the same config harvests a
-	// measured traffic profile, then the sharded build places by it).
+	// (netlist.Elaborate places the sharded build by the traffic profile
+	// of a single-kernel run of the same config, measured once per
+	// default-rate config and cached).
 	Partitioner string
 	// Burst, when > 1, moves words through the FIFOs in chunks of up to
 	// Burst words: the burst-dominated configuration of the §IV-C
@@ -180,8 +181,8 @@ type delayer func(d sim.Time)
 func Run(cfg Config) Result {
 	res, err := RunCtx(context.Background(), cfg)
 	if err != nil {
-		// Unreachable: only a guarded abort errors, and a background
-		// context with no stall window never aborts.
+		// A background context with no stall window never aborts, so
+		// this is a configuration the netlist cannot build.
 		panic(fmt.Sprintf("pipeline: %v", err))
 	}
 	return res
@@ -190,17 +191,18 @@ func Run(cfg Config) Result {
 // RunCtx is Run under the par supervisor: the run is interrupted when
 // ctx ends or the stall watchdog it carries (par.WithStallWindow)
 // fires, returning the guard's error with all model goroutines shut
-// down.
+// down. A configuration the netlist cannot build is returned as an
+// error too.
 func RunCtx(ctx context.Context, cfg Config) (Result, error) {
 	// Custom rate functions are not comparable, so only default-rate
-	// configs are profile-cache keyable.
-	cacheable := cfg.SourceRate == nil && cfg.TransmitRate == nil && cfg.SinkRate == nil
+	// configs key the profile cache.
+	defaultRates := cfg.SourceRate == nil && cfg.TransmitRate == nil && cfg.SinkRate == nil
 	cfg.fill()
-	nShards := cfg.Shards
-	if nShards < 1 {
-		nShards = 1
+	var key any
+	if defaultRates {
+		key = profileKey{cfg.Depth, cfg.Blocks, cfg.WordsPerBlock, cfg.Burst, cfg.Seed}
 	}
-	if nShards > 1 && cfg.Mode != TDfull {
+	if cfg.Shards > 1 && cfg.Mode != TDfull {
 		panic(fmt.Sprintf("pipeline: mode %v cannot be sharded (only TDfull carries the Smart-FIFO dates)", cfg.Mode))
 	}
 	part, err := netlist.PartitionerByName(cfg.Partitioner)
@@ -211,18 +213,10 @@ func RunCtx(ctx context.Context, cfg Config) (Result, error) {
 	if cfg.Mode == TDfull {
 		impl = netlist.Smart
 	}
-
-	var prof *netlist.Profile
-	if part.Name() == netlist.Profiled.Name() && nShards > 1 {
-		if prof, err = profileFor(ctx, cfg, cacheable); err != nil {
-			return Result{}, err
-		}
-	}
-
-	g, res, ends := modelGraph(cfg)
-	b, err := g.Build(netlist.Options{Shards: nShards, Partitioner: part, Impl: impl, Profile: prof})
+	b, st, err := netlist.Elaborate(ctx, key, netlist.Options{Shards: cfg.Shards, Partitioner: part, Impl: impl},
+		func() (*netlist.Graph, *run) { return modelGraph(cfg) })
 	if err != nil {
-		panic(fmt.Sprintf("pipeline: %v", err))
+		return Result{}, err
 	}
 
 	start := time.Now()
@@ -230,71 +224,38 @@ func RunCtx(ctx context.Context, cfg Config) (Result, error) {
 		b.Shutdown()
 		return Result{}, err
 	}
+	res := &st.res
 	res.Wall = time.Since(start)
 	res.Stats = b.Stats()
 	res.Shards = b.Shards()
 	res.Advances = b.Advances()
 	res.Crossings = b.Crossings
 	res.Placement = b.Placement
-	// Opportunistic harvest: a completed single-kernel TDfull run is a
-	// valid profiling run (profiles are schedule-independent), so keep
-	// its counters for a later profile-guided build of the same config.
-	if cacheable && res.Shards == 1 && cfg.Mode == TDfull {
-		pipeProfiles.Put(profileKey{cfg.Depth, cfg.Blocks, cfg.WordsPerBlock, cfg.Burst, cfg.Seed}, b.Profile())
-	}
 	if cfg.Mode != Untimed {
-		for _, e := range ends {
-			if e > res.SimEnd {
-				res.SimEnd = e
-			}
-		}
+		res.SimEnd = max(st.ends[0], st.ends[1], st.ends[2])
 	}
 	return *res, nil
 }
 
-// pipeProfiles memoizes measured profiles per default-rate config —
-// safe because profiles are schedule-independent.
-var pipeProfiles = netlist.NewProfileCache()
-
-// profileKey is the comparable cache key of a default-rate config.
+// profileKey is the profile-cache key of a default-rate config: the
+// fields that fix its dates (a profiled build is necessarily TDfull).
 type profileKey struct {
 	Depth, Blocks, WordsPerBlock, Burst int
 	Seed                                int64
 }
 
-// profileFor runs phase one of a profile-guided build: the same config
-// once single-kernel (necessarily TDfull — only Smart-FIFO builds
-// shard), harvesting the measured traffic profile for the sharded
-// placement.
-func profileFor(ctx context.Context, cfg Config, cacheable bool) (*netlist.Profile, error) {
-	key := profileKey{cfg.Depth, cfg.Blocks, cfg.WordsPerBlock, cfg.Burst, cfg.Seed}
-	if cacheable {
-		if p, ok := pipeProfiles.Get(key); ok {
-			return p, nil
-		}
-	}
-	g, _, _ := modelGraph(cfg)
-	b, err := g.Build(netlist.Options{Shards: 1, Impl: netlist.Smart})
-	if err != nil {
-		panic(fmt.Sprintf("pipeline: %v", err))
-	}
-	err = b.RunGuarded(ctx, sim.RunForever)
-	b.Shutdown()
-	if err != nil {
-		return nil, err
-	}
-	prof := b.Profile()
-	if cacheable {
-		pipeProfiles.Put(key, prof)
-	}
-	return prof, nil
+// run is what one elaboration's bodies write into: the result under
+// construction and each module's final local date (per-module slots keep
+// the bodies race-free across shards).
+type run struct {
+	res  Result
+	ends [3]sim.Time
 }
 
-// modelGraph wires the three-module benchmark graph and returns the
-// result and per-module end-date slots its bodies write into. A fresh
-// graph per call: a netlist graph elaborates at most once, and the
-// profiled two-phase builds the model twice. cfg must be filled.
-func modelGraph(cfg Config) (*netlist.Graph, *Result, *[3]sim.Time) {
+// modelGraph wires the three-module benchmark graph and returns the run
+// state its bodies write into. It is netlist.Elaborate's declare
+// function, called once per copy of the model. cfg must be filled.
+func modelGraph(cfg Config) (*netlist.Graph, *run) {
 	timed := cfg.Mode != Untimed
 	newDelay := func(p *sim.Process) delayer {
 		switch cfg.Mode {
@@ -316,13 +277,11 @@ func modelGraph(cfg Config) (*netlist.Graph, *Result, *[3]sim.Time) {
 	f2 := netlist.AddChan[workload.Word](g, "f2", cfg.Depth).WithBurst(cfg.Burst)
 
 	n := cfg.Blocks * cfg.WordsPerBlock
-	res := &Result{Mode: cfg.Mode, Depth: cfg.Depth, Words: n}
-
+	st := &run{res: Result{Mode: cfg.Mode, Depth: cfg.Depth, Words: n}}
 	// Each module records its own final local date; the simulated end
 	// date is the latest (a decoupled process may terminate with its
-	// local date ahead of the global clock). Per-module slots keep the
-	// bodies race-free across shards.
-	var ends [3]sim.Time
+	// local date ahead of the global clock).
+	res, ends := &st.res, &st.ends
 
 	src := g.Thread("source", nil)
 	out1 := f1.Output(src)
@@ -458,7 +417,7 @@ func modelGraph(cfg Config) (*netlist.Graph, *Result, *[3]sim.Time) {
 		})
 	}
 
-	return g, res, &ends
+	return g, st
 }
 
 // MaxTimingError returns the largest absolute difference between the

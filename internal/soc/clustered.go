@@ -44,8 +44,8 @@ import (
 func RunClustered(cfg Config, shards int) Result {
 	res, err := RunClusteredCtx(context.Background(), cfg, shards)
 	if err != nil {
-		// Unreachable: only a guarded abort errors, and a background
-		// context with no stall window never aborts.
+		// A background context with no stall window never aborts, so
+		// this is a configuration the netlist cannot build.
 		panic(fmt.Sprintf("soc: %v", err))
 	}
 	return res
@@ -54,7 +54,8 @@ func RunClustered(cfg Config, shards int) Result {
 // RunClusteredCtx is RunClustered under the par supervisor: the run is
 // interrupted when ctx ends or the stall watchdog it carries
 // (par.WithStallWindow) fires, returning the guard's error with all
-// model goroutines shut down.
+// model goroutines shut down. A configuration the netlist cannot build
+// is returned as an error too.
 func RunClusteredCtx(ctx context.Context, cfg Config, shards int) (Result, error) {
 	cfg.fill()
 	nClusters := cfg.Pipelines
@@ -69,17 +70,14 @@ func RunClusteredCtx(ctx context.Context, cfg Config, shards int) (Result, error
 		panic(fmt.Sprintf("soc: %v", err))
 	}
 
-	var prof *netlist.Profile
-	if part.Name() == netlist.Profiled.Name() && shards > 1 {
-		if prof, err = clusteredProfile(ctx, cfg); err != nil {
-			return Result{}, err
-		}
-	}
-
-	g, st := clusteredGraph(cfg)
-	built, err := g.Build(netlist.Options{Shards: shards, Partitioner: part, Impl: netlist.Smart, Profile: prof})
+	// The profile-cache key: everything that fixes the dates. The
+	// partitioner never changes them, and the variant is Smart-only.
+	key := cfg
+	key.Mode, key.Partitioner = SmartFIFOs, ""
+	built, st, err := netlist.Elaborate(ctx, key, netlist.Options{Shards: shards, Partitioner: part, Impl: netlist.Smart},
+		func() (*netlist.Graph, *clusteredState) { return clusteredGraph(cfg) })
 	if err != nil {
-		panic(fmt.Sprintf("soc: %v", err))
+		return Result{}, err
 	}
 
 	res := Result{
@@ -112,52 +110,8 @@ func RunClusteredCtx(ctx context.Context, cfg Config, shards int) (Result, error
 			}
 		}
 	}
-	// Opportunistic harvest: a completed single-kernel clustered run is
-	// a valid profiling run (profiles are schedule-independent), so keep
-	// its counters for a later profile-guided build of the same config.
-	if built.Shards() == 1 {
-		clusteredProfiles.Put(profileCfgKey(cfg), built.Profile())
-	}
 	built.Shutdown()
 	return res, nil
-}
-
-// clusteredProfiles memoizes measured profiles per normalized Config
-// value (every field is comparable) — safe because profiles are
-// schedule-independent.
-var clusteredProfiles = netlist.NewProfileCache()
-
-// profileCfgKey normalizes a Config into a profile-cache key: the
-// partitioner choice never changes the measured counters (the
-// trace-equivalence invariant), and the clustered variant is Smart-FIFO
-// only.
-func profileCfgKey(cfg Config) Config {
-	cfg.Mode = SmartFIFOs
-	cfg.Partitioner = ""
-	return cfg
-}
-
-// clusteredProfile runs phase one of a profile-guided clustered build:
-// the same config once single-kernel, harvesting the measured profile
-// for the sharded placement.
-func clusteredProfile(ctx context.Context, cfg Config) (*netlist.Profile, error) {
-	key := profileCfgKey(cfg)
-	if p, ok := clusteredProfiles.Get(key); ok {
-		return p, nil
-	}
-	g, _ := clusteredGraph(cfg)
-	b, err := g.Build(netlist.Options{Shards: 1, Impl: netlist.Smart})
-	if err != nil {
-		panic(fmt.Sprintf("soc: %v", err))
-	}
-	err = b.RunGuarded(ctx, sim.RunForever)
-	b.Shutdown()
-	if err != nil {
-		return nil, err
-	}
-	prof := b.Profile()
-	clusteredProfiles.Put(key, prof)
-	return prof, nil
 }
 
 // clusteredState is the host-side bookkeeping a clustered graph's
@@ -168,9 +122,9 @@ type clusteredState struct {
 	maxLevels []uint32       // indexed by hosting cluster
 }
 
-// clusteredGraph wires the multi-cluster graph and its state. A fresh
-// graph per call: a netlist graph elaborates at most once, and the
-// profiled two-phase builds the model twice. cfg must be filled.
+// clusteredGraph wires the multi-cluster graph and its state. It is
+// netlist.Elaborate's declare function, called once per copy of the
+// model. cfg must be filled.
 func clusteredGraph(cfg Config) (*netlist.Graph, *clusteredState) {
 	nClusters := cfg.Pipelines
 	g := netlist.New("soc")
