@@ -18,8 +18,8 @@
 //
 // The kernel hot paths are allocation-free in steady state: each Process
 // and Event embeds its one reusable timed-queue entry, the timed queue is
-// a concrete 4-ary min-heap with in-place reschedule (internal/sim/timedq.go),
-// and the delta/waiter queues recycle their backing arrays. The Smart
+// a 4-ary heap of same-date runs (internal/sim/timedq.go), and the
+// delta/waiter queues recycle their backing arrays. The Smart
 // FIFO's external NotEmpty/NotFull notifications are subscriber-aware and
 // computed lazily: while no waiter, static method or dynamic trigger is
 // attached, a state change merely records the authoritative

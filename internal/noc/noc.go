@@ -76,6 +76,9 @@ type router struct {
 
 	in  [nPorts]*fifo.FIFO[Flit] // in[local] is the NI injection queue
 	out *fifo.FIFO[Flit]         // local delivery queue toward the NI
+	// outs is the destination FIFO per output port: the neighbour's
+	// facing input (nil at the mesh edge), and out for local.
+	outs [nPorts]*fifo.FIFO[Flit]
 
 	next      port // round-robin pointer
 	tickArmed bool // a self-scheduled cycle tick is pending
@@ -109,22 +112,35 @@ func NewMesh(k *sim.Kernel, name string, cfg Config) *Mesh {
 			m.routers = append(m.routers, r)
 		}
 	}
-	// Create the router processes after the full topology exists, since
-	// sensitivity lists reference neighbour FIFOs.
+	// Wire the output ports and create the router processes after the
+	// full topology exists, since both reference neighbour FIFOs.
+	w := cfg.Width
 	for _, r := range m.routers {
 		r := r
-		events := make([]*sim.Event, 0, nPorts+1)
+		if r.y > 0 {
+			r.outs[north] = m.routers[r.idx-w].in[south]
+		}
+		if r.y < cfg.Height-1 {
+			r.outs[south] = m.routers[r.idx+w].in[north]
+		}
+		if r.x < w-1 {
+			r.outs[east] = m.routers[r.idx+1].in[west]
+		}
+		if r.x > 0 {
+			r.outs[west] = m.routers[r.idx-1].in[east]
+		}
+		r.outs[local] = r.out
+		events := make([]*sim.Event, 0, 2*nPorts)
 		for pt := port(0); pt < nPorts; pt++ {
 			events = append(events, r.in[pt].NotEmpty())
 		}
 		// Output back-pressure release: neighbours' input NotFull and
 		// the local output NotFull.
-		for _, nb := range r.neighbours() {
-			if nb != nil {
-				events = append(events, nb.NotFull())
+		for _, out := range r.outs {
+			if out != nil {
+				events = append(events, out.NotFull())
 			}
 		}
-		events = append(events, r.out.NotFull())
 		r.proc = k.MethodNoInit(fmt.Sprintf("%s.router%d", name, r.idx), r.step, events...)
 	}
 	return m
@@ -150,44 +166,24 @@ func (m *Mesh) injectionQueue(idx int) *fifo.FIFO[Flit] { return m.routers[idx].
 // deliveryQueue returns the NI-facing output FIFO of router idx.
 func (m *Mesh) deliveryQueue(idx int) *fifo.FIFO[Flit] { return m.routers[idx].out }
 
-// neighbours returns the destination input FIFO for each outgoing
-// direction (nil when at the mesh edge), indexed by port.
-func (r *router) neighbours() [4]*fifo.FIFO[Flit] {
-	m := r.m
-	var nb [4]*fifo.FIFO[Flit]
-	if r.y > 0 {
-		nb[north] = m.routers[r.idx-m.cfg.Width].in[south]
-	}
-	if r.y < m.cfg.Height-1 {
-		nb[south] = m.routers[r.idx+m.cfg.Width].in[north]
-	}
-	if r.x < m.cfg.Width-1 {
-		nb[east] = m.routers[r.idx+1].in[west]
-	}
-	if r.x > 0 {
-		nb[west] = m.routers[r.idx-1].in[east]
-	}
-	return nb
-}
-
-// route gives the output for a flit at this router under XY routing:
-// correct X first, then Y, then deliver locally.
-func (r *router) route(f Flit) (dst *fifo.FIFO[Flit]) {
-	m := r.m
-	dx, dy := f.Dst%m.cfg.Width, f.Dst/m.cfg.Width
-	nb := r.neighbours()
+// route gives the output port for a flit at this router under XY routing
+// (correct X first, then Y, then deliver locally) and the FIFO behind it,
+// nil if the port leaves the mesh.
+func (r *router) route(f Flit) (port, *fifo.FIFO[Flit]) {
+	w := r.m.cfg.Width
+	dx, dy := f.Dst%w, f.Dst/w
+	pt := local
 	switch {
 	case dx > r.x:
-		return nb[east]
+		pt = east
 	case dx < r.x:
-		return nb[west]
+		pt = west
 	case dy > r.y:
-		return nb[south]
+		pt = south
 	case dy < r.y:
-		return nb[north]
-	default:
-		return r.out
+		pt = north
 	}
+	return pt, r.outs[pt]
 }
 
 // step is the router method body. The router works at cycle boundaries: an
@@ -224,7 +220,7 @@ func (r *router) forwardableWork() bool {
 		if !ok {
 			continue
 		}
-		if out := r.route(f); out != nil && !out.IsFull() {
+		if _, out := r.route(f); out != nil && !out.IsFull() {
 			return true
 		}
 	}
@@ -244,34 +240,19 @@ func (r *router) forward() int {
 		if !ok {
 			continue
 		}
-		out := r.route(f)
+		outPt, out := r.route(f)
 		if out == nil {
 			panic(fmt.Sprintf("noc: router %d: XY routing escaped the mesh", r.idx))
 		}
-		outIdx := r.outIndex(out)
-		if claimed[outIdx] || !out.TryWrite(f) {
+		if claimed[outPt] || !out.TryWrite(f) {
 			// Output contended or full this cycle; the flit stays
 			// at the head of its input.
 			continue
 		}
 		r.in[pt].TryRead() // commit the pop
-		claimed[outIdx] = true
+		claimed[outPt] = true
 		r.m.stats.FlitsForwarded++
 		n++
 	}
 	return n
-}
-
-// outIndex maps an output FIFO to its claim slot.
-func (r *router) outIndex(out *fifo.FIFO[Flit]) int {
-	if out == r.out {
-		return int(local)
-	}
-	nb := r.neighbours()
-	for d, f := range nb {
-		if f == out {
-			return d
-		}
-	}
-	return int(local)
 }

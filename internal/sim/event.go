@@ -69,7 +69,7 @@ type Event struct {
 func NewEvent(k *Kernel, name string) *Event {
 	e := &Event{k: k, name: name}
 	e.pend.ev = e
-	e.pend.index = -1
+	e.pend.index = notQueued
 	return e
 }
 
@@ -258,7 +258,8 @@ func (e *Event) elidedLive() bool {
 // is still live, and consumes it either way. Called when a subscriber
 // attaches. A timed delivery reuses the sequence number drawn when the
 // record was made, so same-date notifications fire exactly in the order
-// they were issued, as if none had been elided.
+// they were issued, as if none had been elided: the timed queue files the
+// entry inside the same-date run whose seq range holds it.
 func (e *Event) deliverElided() {
 	live := e.elidedLive()
 	at := e.elidedAt
@@ -276,13 +277,12 @@ func (e *Event) deliverElided() {
 		return
 	}
 	e.timedPending = true
+	if e.pend.queued() {
+		k.timed.remove(&e.pend)
+	}
 	e.pend.at = at
 	e.pend.seq = e.elidedSeq
-	if e.pend.index >= 0 {
-		k.timed.fix(&e.pend)
-	} else {
-		k.timed.push(&e.pend)
-	}
+	k.timed.push(&e.pend)
 }
 
 // CancelNotify cancels any pending delayed or delta notification

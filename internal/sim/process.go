@@ -111,7 +111,7 @@ func (k *Kernel) newProcess(name string, fn func(p *Process), isMethod bool) *Pr
 		body:     fn,
 	}
 	p.wake.proc = p
-	p.wake.index = -1
+	p.wake.index = notQueued
 	k.procs = append(k.procs, p)
 	return p
 }

@@ -112,6 +112,31 @@ func TestDeterministicAcrossRuns(t *testing.T) {
 	}
 }
 
+// TestCaseStudyKernelCounters pins every kernel counter of the benchmark's
+// SoC case study at its reduced scale (Jobs 1, WordsPerJob 1024). Any
+// change to same-date firing order (the timed queue's (at, seq) tie-break)
+// or to NoC routing shows up here as a counter or date that moved.
+func TestCaseStudyKernelCounters(t *testing.T) {
+	r := soc.Run(soc.Config{Mode: soc.SmartFIFOs, Pipelines: 8, Jobs: 1, WordsPerJob: 1024,
+		FIFODepth: 16, UseNoC: true, NoCPacketLen: 16, Quantum: 500 * sim.NS, WithDMA: true, Seed: 1})
+	want := sim.Stats{
+		ContextSwitches:   3961,
+		MethodActivations: 69653,
+		DeltaCycles:       8010,
+		TimedSteps:        3978,
+		Notifications:     89660,
+	}
+	if r.Stats != want {
+		t.Errorf("kernel counters %+v, want %+v", r.Stats, want)
+	}
+	if r.SimEnd != 4157*sim.NS {
+		t.Errorf("SimEnd = %v, want 4157 ns", r.SimEnd)
+	}
+	if r.NoC.FlitsForwarded != 18432 {
+		t.Errorf("FlitsForwarded = %d, want 18432", r.NoC.FlitsForwarded)
+	}
+}
+
 func TestBadPacketMultiplePanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {
