@@ -124,6 +124,41 @@ func BenchmarkSmartFIFOOps(b *testing.B) {
 	k.Run(sim.RunForever)
 }
 
+// BenchmarkShardedOps is BenchmarkSmartFIFOOps across a one-kernel
+// ShardedFIFO: scalar Write/Read on the bridge ends, with the outbox and
+// the credits exchanged by hand-driven flushes. It prices the scalar
+// bridge path, which stages every word out of line.
+func BenchmarkShardedOps(b *testing.B) {
+	k := sim.NewKernel("bench")
+	f := core.NewSharded[int](k, k, "f", 1<<16)
+	n := b.N
+	k.Thread("writer", func(p *sim.Process) {
+		w := f.Writer()
+		for i := 0; i < n; i++ {
+			w.Write(i)
+			p.Inc(sim.NS)
+		}
+	})
+	k.Thread("reader", func(p *sim.Process) {
+		r := f.Reader()
+		for i := 0; i < n; i++ {
+			r.Read()
+			p.Inc(sim.NS)
+		}
+	})
+	b.ReportAllocs()
+	b.ResetTimer()
+	var end sim.Time
+	for {
+		end += 10 * sim.US
+		k.Run(end)
+		if !f.Flush() && len(k.Blocked()) == 0 {
+			break
+		}
+	}
+	k.Shutdown()
+}
+
 // BenchmarkWriteBurst measures the per-word cost of moving chunks into the
 // Smart FIFO: the bulk run-based fast path ("bulk") versus the equivalent
 // scalar Write loop ("scalar"). b.N counts words, so ns/op is ns/word; the

@@ -15,9 +15,10 @@ import (
 //
 // # Contract
 //
-// Every burst method is defined by its scalar oracle, word 0 transferred
-// at the caller's current local date and per of local time advanced
-// between consecutive words:
+// Every burst method — on SmartFIFO and on both ShardedFIFO endpoints,
+// which run this same code (end.go) — is defined by its scalar oracle,
+// word 0 transferred at the caller's current local date and per of local
+// time advanced between consecutive words:
 //
 //	WriteBurst:    for i, v := range vals { if i > 0 { p.Inc(per) }; f.Write(v) }
 //	ReadBurst:     for i := range dst     { if i > 0 { p.Inc(per) }; dst[i] = f.Read() }
@@ -40,7 +41,9 @@ import (
 // non-blocking words — so the run is executed as a whole:
 //
 //   - payload moves with copy into/out of the ring (≤ 2 contiguous
-//     segments);
+//     segments); a bridge write run stages it in the outbox instead, and a
+//     bridge read run stages its freeing dates as credits, one append per
+//     slice;
 //   - insertion/freeing dates are annotated in one vector pass (runDates),
 //     each word's date being the previous date + per lifted to the cell's
 //     bound date exactly as the scalar Inc + AdvanceLocalTo pair does;
@@ -61,9 +64,9 @@ import (
 // per between consecutive words: word i is written at the date of word 0
 // plus i*per (later if the FIFO back-pressures). It blocks like Write when
 // the FIFO is internally full.
-func (f *SmartFIFO[T]) WriteBurst(vals []T, per sim.Time) {
-	p := f.caller("WriteBurst")
-	if f.fault != FaultNone || per < 0 {
+func (e *end[T]) WriteBurst(vals []T, per sim.Time) {
+	p := e.caller("WriteBurst")
+	if e.fault != FaultNone || per < 0 {
 		// Fault-injection runs keep the literal scalar path (faults
 		// perturb per-word behavior the fast path does not model); a
 		// negative per panics inside Inc exactly like the scalar loop.
@@ -71,13 +74,13 @@ func (f *SmartFIFO[T]) WriteBurst(vals []T, per sim.Time) {
 			if i > 0 {
 				p.Inc(per)
 			}
-			f.Write(v)
+			e.Write(v)
 		}
 		return
 	}
 	first := true
 	for len(vals) > 0 {
-		if n := f.writeRun(p, vals, per, !first); n > 0 {
+		if n := e.writeRun(p, vals, per, !first); n > 0 {
 			vals = vals[n:]
 			first = false
 			continue
@@ -87,7 +90,7 @@ func (f *SmartFIFO[T]) WriteBurst(vals []T, per sim.Time) {
 		if !first {
 			p.Inc(per)
 		}
-		f.Write(vals[0])
+		e.Write(vals[0])
 		vals = vals[1:]
 		first = false
 	}
@@ -96,20 +99,20 @@ func (f *SmartFIFO[T]) WriteBurst(vals []T, per sim.Time) {
 // ReadBurst fills dst in order, advancing the reader's local clock by per
 // between consecutive words. It blocks like Read when the FIFO is
 // internally empty.
-func (f *SmartFIFO[T]) ReadBurst(dst []T, per sim.Time) {
-	p := f.caller("ReadBurst")
-	if f.fault != FaultNone || per < 0 {
+func (e *end[T]) ReadBurst(dst []T, per sim.Time) {
+	p := e.caller("ReadBurst")
+	if e.fault != FaultNone || per < 0 {
 		for i := range dst {
 			if i > 0 {
 				p.Inc(per)
 			}
-			dst[i] = f.Read()
+			dst[i] = e.Read()
 		}
 		return
 	}
 	first := true
 	for len(dst) > 0 {
-		if n := f.readRun(p, dst, per, !first); n > 0 {
+		if n := e.readRun(p, dst, per, !first); n > 0 {
 			dst = dst[n:]
 			first = false
 			continue
@@ -117,7 +120,7 @@ func (f *SmartFIFO[T]) ReadBurst(dst []T, per sim.Time) {
 		if !first {
 			p.Inc(per)
 		}
-		dst[0] = f.Read()
+		dst[0] = e.Read()
 		dst = dst[1:]
 		first = false
 	}
@@ -126,44 +129,32 @@ func (f *SmartFIFO[T]) ReadBurst(dst []T, per sim.Time) {
 // TryWriteBurst writes up to len(vals) externally acceptable words without
 // blocking, advancing the caller's local clock by per between words, and
 // returns the number of words written. Safe from method processes.
-func (f *SmartFIFO[T]) TryWriteBurst(vals []T, per sim.Time) int {
-	p := f.caller("TryWriteBurst")
-	if f.fault != FaultNone || per < 0 {
+func (e *end[T]) TryWriteBurst(vals []T, per sim.Time) int {
+	p := e.caller("TryWriteBurst")
+	if e.fault != FaultNone || per < 0 {
 		n := 0
 		for i, v := range vals {
 			if i > 0 {
-				if f.IsFull() {
+				if e.IsFull() {
 					break
 				}
 				p.Inc(per)
 			}
-			if !f.TryWrite(v) {
+			if !e.TryWrite(v) {
 				break
 			}
 			n++
 		}
 		return n
 	}
-	r := &f.cells
-	d := len(r.ins)
-	mMax := d - r.nBusy
-	if mMax > len(vals) {
-		mMax = len(vals)
-	}
+	r := &e.cells
+	mMax := min(len(r.ins)-r.nBusy, len(vals))
 	if mMax == 0 || r.free[r.firstFree] > p.LocalTime() {
 		return 0
 	}
-	f.checkSideOrder(p, &f.lastWriteDate, "write")
-	q0 := r.firstFree
-	nBusy0 := r.nBusy
-	m, end := tryRunDates(r.ins, r.free, q0, mMax, p.LocalTime(), per)
-	copyIn(r.data, q0, vals[:m])
-	r.firstFree = wrap(q0+m, d)
-	r.nBusy += m
-	f.stats.Writes += uint64(m)
-	f.lastWriteDate = end
-	p.AdvanceLocalTo(end)
-	f.writeRunEvents(q0, m, nBusy0)
+	e.checkOrder(p, &e.lastWriteDate, "write")
+	m, last := tryRunDates(r.ins, r.free, r.firstFree, mMax, p.LocalTime(), per)
+	e.commitWrite(p, vals[:m], last)
 	return m
 }
 
@@ -171,18 +162,18 @@ func (f *SmartFIFO[T]) TryWriteBurst(vals []T, per sim.Time) int {
 // blocking, advancing the caller's local clock by per between words. It
 // returns the number of words read. Safe from method processes; used by
 // the NoC network interfaces to packetize.
-func (f *SmartFIFO[T]) TryReadBurst(dst []T, per sim.Time) int {
-	p := f.caller("TryReadBurst")
-	if f.fault != FaultNone || per < 0 {
+func (e *end[T]) TryReadBurst(dst []T, per sim.Time) int {
+	p := e.caller("TryReadBurst")
+	if e.fault != FaultNone || per < 0 {
 		n := 0
 		for i := range dst {
 			if i > 0 {
-				if f.IsEmpty() {
+				if e.IsEmpty() {
 					break
 				}
 				p.Inc(per)
 			}
-			v, ok := f.TryRead()
+			v, ok := e.TryRead()
 			if !ok {
 				break
 			}
@@ -191,139 +182,130 @@ func (f *SmartFIFO[T]) TryReadBurst(dst []T, per sim.Time) int {
 		}
 		return n
 	}
-	r := &f.cells
-	d := len(r.ins)
-	mMax := r.nBusy
-	if mMax > len(dst) {
-		mMax = len(dst)
-	}
+	r := &e.cells
+	mMax := min(r.nBusy, len(dst))
 	if mMax == 0 || r.ins[r.firstBusy] > p.LocalTime() {
 		return 0
 	}
-	f.checkSideOrder(p, &f.lastReadDate, "read")
-	q0 := r.firstBusy
-	nBusy0 := r.nBusy
-	m, end := tryRunDates(r.free, r.ins, q0, mMax, p.LocalTime(), per)
-	copyOut(dst[:m], r.data, q0)
-	r.firstBusy = wrap(q0+m, d)
-	r.nBusy -= m
-	f.stats.Reads += uint64(m)
-	f.lastReadDate = end
-	p.AdvanceLocalTo(end)
-	f.readRunEvents(q0, m, nBusy0)
+	e.checkOrder(p, &e.lastReadDate, "read")
+	m, last := tryRunDates(r.free, r.ins, r.firstBusy, mMax, p.LocalTime(), per)
+	e.commitRead(p, dst[:m], last)
 	return m
 }
 
-// writeRun executes one bulk write run: up to len(vals) words into the
-// internally free cells. It returns the number of words written, 0 iff
-// the ring is internally full.
-func (f *SmartFIFO[T]) writeRun(p *sim.Process, vals []T, per sim.Time, incFirst bool) int {
-	r := &f.cells
-	d := len(r.ins)
-	m := d - r.nBusy
+// writeRun executes one bulk write run: up to len(vals) ≥ 1 words into
+// the internally free cells. It returns the number of words written, 0
+// iff the ring is internally full.
+func (e *end[T]) writeRun(p *sim.Process, vals []T, per sim.Time, incFirst bool) int {
+	r := &e.cells
+	m := min(len(r.ins)-r.nBusy, len(vals))
 	if m == 0 {
 		return 0
 	}
-	if m > len(vals) {
-		m = len(vals)
-	}
-	f.checkSideOrder(p, &f.lastWriteDate, "write")
-	q0 := r.firstFree
-	nBusy0 := r.nBusy
-	end, adv := runDates(r.ins, r.free, q0, m, p.LocalTime(), per, incFirst)
-	copyIn(r.data, q0, vals[:m])
-	r.firstFree = wrap(q0+m, d)
-	r.nBusy += m
-	f.stats.Writes += uint64(m)
-	f.stats.WriterAdvances += adv
-	f.lastWriteDate = end
-	p.AdvanceLocalTo(end)
-	f.writeRunEvents(q0, m, nBusy0)
+	e.checkOrder(p, &e.lastWriteDate, "write")
+	last, adv := runDates(r.ins, r.free, r.firstFree, m, p.LocalTime(), per, incFirst)
+	e.stats.WriterAdvances += adv
+	e.commitWrite(p, vals[:m], last)
 	return m
 }
 
-// readRun executes one bulk read run: up to len(dst) words out of the
+// readRun executes one bulk read run: up to len(dst) ≥ 1 words out of the
 // internally busy cells. It returns the number of words read, 0 iff the
 // ring is internally empty.
-func (f *SmartFIFO[T]) readRun(p *sim.Process, dst []T, per sim.Time, incFirst bool) int {
-	r := &f.cells
-	d := len(r.ins)
-	m := r.nBusy
+func (e *end[T]) readRun(p *sim.Process, dst []T, per sim.Time, incFirst bool) int {
+	r := &e.cells
+	m := min(r.nBusy, len(dst))
 	if m == 0 {
 		return 0
 	}
-	if m > len(dst) {
-		m = len(dst)
-	}
-	f.checkSideOrder(p, &f.lastReadDate, "read")
-	q0 := r.firstBusy
-	nBusy0 := r.nBusy
-	end, adv := runDates(r.free, r.ins, q0, m, p.LocalTime(), per, incFirst)
-	copyOut(dst[:m], r.data, q0)
-	r.firstBusy = wrap(q0+m, d)
-	r.nBusy -= m
-	f.stats.Reads += uint64(m)
-	f.stats.ReaderAdvances += adv
-	f.lastReadDate = end
-	p.AdvanceLocalTo(end)
-	f.readRunEvents(q0, m, nBusy0)
+	e.checkOrder(p, &e.lastReadDate, "read")
+	last, adv := runDates(r.free, r.ins, r.firstBusy, m, p.LocalTime(), per, incFirst)
+	e.stats.ReaderAdvances += adv
+	e.commitRead(p, dst[:m], last)
 	return m
 }
 
-// writeRunEvents is the collapsed event epilogue of a write run of m ≥ 1
-// words starting at cell q0 with nBusy0 cells busy. It reproduces, in one
-// shot, the final pending state the scalar loop's per-word probes leave
-// behind.
-func (f *SmartFIFO[T]) writeRunEvents(q0, m, nBusy0 int) {
-	r := &f.cells
+// commitWrite applies a write run of len(vals) ≥ 1 words whose insertion
+// dates are already stamped from the first free cell on, ending at local
+// date last: the payload (or, on a bridge, its staging), ring indices,
+// stats, and the collapsed event epilogue, which reproduces in one shot
+// the final pending state the scalar loop's per-word probes leave behind.
+func (e *end[T]) commitWrite(p *sim.Process, vals []T, last sim.Time) {
+	r := &e.cells
 	d := len(r.ins)
-	// Wake a blocked reader (idempotent while pending: one call stands
-	// for the scalar loop's m calls).
-	f.cellFilled.NotifyDelta()
-	// §III-B: the FIFO became externally non-empty at the insertion date
-	// of the run's first word (only word 0 can see an all-free ring).
-	if nBusy0 == 0 {
-		f.notifyAtOrDelta(f.notEmpty, r.ins[q0])
+	m := len(vals)
+	q0 := r.firstFree
+	if e.bridge {
+		e.stage(p, vals, q0)
+	} else {
+		copyIn(r.data, q0, vals)
+		// Wake a blocked reader (idempotent while pending: one call
+		// stands for the scalar loop's m calls). §III-B: the FIFO became
+		// externally non-empty at the insertion date of the run's first
+		// word (only word 0 can see an all-free ring).
+		e.cellFilled.NotifyDelta()
+		if r.nBusy == 0 {
+			e.notify(e.notEmpty, r.ins[q0])
+		}
 	}
-	now := f.k.Now()
+	r.firstFree = wrap(q0+m, d)
+	r.nBusy += m
+	e.stats.Writes += uint64(m)
+	e.lastWriteDate = last
+	p.AdvanceLocalTo(last)
+	now := e.k.Now()
 	if r.nBusy < d {
 		// The scalar loop's last notFull probe names the next free
 		// cell's freeing date; earlier probes were replaced.
 		if fd := r.free[r.firstFree]; fd > now {
-			f.notifyAtOrDelta(f.notFull, fd)
+			e.notify(e.notFull, fd)
 		}
 	} else if m >= 2 {
 		// The ring filled: the last probing word was m-2, naming the
 		// freeing date of the cell word m-1 then filled.
 		if fd := r.free[wrap(q0+m-1, d)]; fd > now {
-			f.notifyAtOrDelta(f.notFull, fd)
+			e.notify(e.notFull, fd)
 		}
 	}
 }
 
-// readRunEvents is the symmetric collapsed epilogue of a read run.
-func (f *SmartFIFO[T]) readRunEvents(q0, m, nBusy0 int) {
-	r := &f.cells
+// commitRead is the symmetric completion of a read run from the first busy
+// cell on: payload copy-out, ring indices, stats, the hand-over (credits
+// on a bridge, the writer wake-up otherwise) and the collapsed epilogue.
+func (e *end[T]) commitRead(p *sim.Process, dst []T, last sim.Time) {
+	r := &e.cells
 	d := len(r.ins)
-	// Wake a blocked writer.
-	f.cellFreed.NotifyDelta()
-	// The FIFO became externally non-full at the freeing date of the
-	// run's first pop (only word 0 can see an all-busy ring).
-	if nBusy0 == d {
-		f.notifyAtOrDelta(f.notFull, r.free[q0])
+	m := len(dst)
+	q0 := r.firstBusy
+	copyOut(dst, r.data, q0)
+	if e.bridge {
+		e.credit(p, q0, m)
+	} else {
+		// Wake a blocked writer. The FIFO became externally non-full at
+		// the freeing date of the run's first pop (only word 0 can see
+		// an all-busy ring).
+		e.cellFreed.NotifyDelta()
+		if r.nBusy == d {
+			e.notify(e.notFull, r.free[q0])
+		}
 	}
-	now := f.k.Now()
+	r.firstBusy = wrap(q0+m, d)
+	r.nBusy -= m
+	e.stats.Reads += uint64(m)
+	e.lastReadDate = last
+	p.AdvanceLocalTo(last)
+	now := e.k.Now()
 	if r.nBusy > 0 {
 		// §III-B case 2: the next datum becomes externally visible
 		// only at its (future) insertion date.
 		if id := r.ins[r.firstBusy]; id > now {
-			f.notifyAtOrDelta(f.notEmpty, id)
+			e.notify(e.notEmpty, id)
 		}
 	} else if m >= 2 {
 		// The ring drained: the last probing word was m-2, naming the
 		// insertion date of the cell word m-1 then popped.
 		if id := r.ins[wrap(q0+m-1, d)]; id > now {
-			f.notifyAtOrDelta(f.notEmpty, id)
+			e.notify(e.notEmpty, id)
 		}
 	}
 }
@@ -365,4 +347,16 @@ func copyOut[T any](dst []T, data []T, q0 int) {
 	clear(data[q0 : q0+n1])
 	copy(dst[n1:], data)
 	clear(data[:len(dst)-n1])
+}
+
+// appendCells appends the m ring entries of s starting at q0 (wrapping) to
+// dst, in at most two segments. A single entry, the scalar bridge access,
+// is appended without the segment copies.
+func appendCells[E any](dst, s []E, q0, m int) []E {
+	if m == 1 {
+		return append(dst, s[q0])
+	}
+	n1 := min(len(s)-q0, m)
+	dst = append(dst, s[q0:q0+n1]...)
+	return append(dst, s[:m-n1]...)
 }

@@ -27,11 +27,19 @@
 // Each side must be accessed by a single process (time must go forward on
 // each side independently); use Arbiter when several processes share a
 // side. The access discipline is checked at run time.
+//
+// # One channel, two deployments
+//
+// The §III channel is written once, as the unexported end type (end.go,
+// burst.go). SmartFIFO is one end whose writes and reads meet in its
+// ring. ShardedFIFO (sharded.go) is the cross-kernel bridge of
+// internal/par: two ends, one per kernel, whose writes stage into an
+// outbox and whose reads return freeing dates as credits, moved across by
+// an exchange. Both deployments therefore share every date rule, the burst
+// fast paths, and the mutation suite of Fault.
 package core
 
 import (
-	"fmt"
-
 	"repro/internal/fifo"
 	"repro/internal/sim"
 )
@@ -59,30 +67,11 @@ type Stats struct {
 // SmartFIFO is a bounded FIFO channel for temporally decoupled models. It
 // contains as many cells as the hardware FIFO it models. Writes may block
 // (hardware FIFOs are bounded), so both directions carry timestamps.
+//
+// A SmartFIFO is one end (end.go) whose writes and reads meet in its ring:
+// its channel methods are the end's.
 type SmartFIFO[T any] struct {
-	k    *sim.Kernel
-	name string
-
-	cells ring[T]
-
-	// Internal blocking events: a parked (synchronized) writer waits on
-	// cellFreed, a parked reader on cellFilled.
-	cellFreed  *sim.Event
-	cellFilled *sim.Event
-
-	// External events for the non-blocking interface (§III-B). Their
-	// notifications are delayed to the date the external state actually
-	// changes (insertion/freeing date), not the internal-change date.
-	notEmpty *sim.Event
-	notFull  *sim.Event
-
-	// Access-discipline state: local dates must not decrease on a side.
-	lastWriteDate sim.Time
-	lastReadDate  sim.Time
-
-	stats  Stats
-	fault  Fault
-	policy BlockPolicy
+	end[T]
 }
 
 // BlockPolicy selects how a blocking access behaves when the channel is
@@ -132,257 +121,12 @@ func (f *SmartFIFO[T]) SetBlockPolicy(p BlockPolicy) { f.policy = p }
 // NewSmart creates a Smart FIFO with the given depth (cells), which must be
 // positive.
 func NewSmart[T any](k *sim.Kernel, name string, depth int) *SmartFIFO[T] {
-	if depth <= 0 {
-		panic(fmt.Sprintf("core: %s: non-positive depth %d", name, depth))
-	}
-	return &SmartFIFO[T]{
-		k:          k,
-		name:       name,
-		cells:      newRing[T](depth),
-		cellFreed:  sim.NewEvent(k, name+".cell_freed"),
-		cellFilled: sim.NewEvent(k, name+".cell_filled"),
-		notEmpty:   sim.NewEvent(k, name+".not_empty"),
-		notFull:    sim.NewEvent(k, name+".not_full"),
-	}
-}
-
-// Name returns the channel name.
-func (f *SmartFIFO[T]) Name() string { return f.name }
-
-// Depth returns the capacity in cells.
-func (f *SmartFIFO[T]) Depth() int { return f.cells.depth() }
-
-// Kernel returns the owning kernel.
-func (f *SmartFIFO[T]) Kernel() *sim.Kernel { return f.k }
-
-// Stats returns a copy of the activity counters.
-func (f *SmartFIFO[T]) Stats() Stats { return f.stats }
-
-// NotEmpty is the external readable-event (§III-B): it is notified at the
-// date the FIFO becomes externally non-empty, i.e. at the *insertion date*
-// of the first available datum, not at the (possibly earlier) global date
-// of the internal state change.
-func (f *SmartFIFO[T]) NotEmpty() *sim.Event { return f.notEmpty }
-
-// NotFull is the external writable-event, notified at the freeing date of
-// the first available cell.
-func (f *SmartFIFO[T]) NotFull() *sim.Event { return f.notFull }
-
-func (f *SmartFIFO[T]) caller(op string) *sim.Process {
-	p := f.k.Current()
-	if p == nil {
-		panic(fmt.Sprintf("core: %s: %s outside a process", f.name, op))
-	}
-	return p
-}
-
-// checkSideOrder enforces the §III requirement that two successive accesses
-// on the same side cannot have decreasing local dates.
-func (f *SmartFIFO[T]) checkSideOrder(p *sim.Process, last *sim.Time, side string) {
-	checkSideOrderFor(f.name, p, last, side)
-}
-
-// Write appends v (§III-A). If every cell is internally busy the calling
-// thread synchronizes and parks (one context switch). Otherwise, if the
-// first free cell's freeing date is in the caller's local future, the
-// caller's local clock advances to it — the real FIFO had no free cell
-// before that date — and the write costs no context switch at all.
-func (f *SmartFIFO[T]) Write(v T) {
-	p := f.caller("Write")
-	f.checkSideOrder(p, &f.lastWriteDate, "write")
-	r := &f.cells
-	for r.nBusy == len(r.ins) {
-		f.stats.WriterBlocks++
-		if f.policy == SyncThenWait && !p.Synchronized() {
-			// Let the global date catch up first; a reader may
-			// free a cell in the meantime, so re-check.
-			p.Sync()
-			continue
-		}
-		// WaitOnly keeps the caller decoupled across the park; its
-		// absolute local date must survive the global time that
-		// passes while parked.
-		local := p.LocalTime()
-		p.WaitEvent(f.cellFreed)
-		p.SetLocalDate(local)
-	}
-	q := r.firstFree
-	if f.fault != FaultNoWriterAdvance {
-		if r.free[q] > p.LocalTime() {
-			f.stats.WriterAdvances++
-		}
-		p.AdvanceLocalTo(r.free[q])
-	}
-	wasAllFree := r.nBusy == 0
-	r.data[q] = v
-	r.ins[q] = p.LocalTime()
-	if f.fault == FaultInsertDateNow {
-		r.ins[q] = f.k.Now()
-	}
-	r.firstFree = (q + 1) % len(r.ins)
-	r.nBusy++
-	f.stats.Writes++
-	f.lastWriteDate = p.LocalTime()
-	// Wake a blocked reader, if any.
-	f.cellFilled.NotifyDelta()
-	// External view (§III-B): the FIFO becomes non-empty at the
-	// insertion date.
-	if wasAllFree {
-		f.notifyAtOrDelta(f.notEmpty, r.ins[q])
-	}
-	// If the *next* free cell's freeing date is in the future, a
-	// synchronized writer still sees the FIFO as full until that date.
-	if r.nBusy < len(r.ins) {
-		if fd := r.free[r.firstFree]; fd > f.k.Now() {
-			f.notifyAtOrDelta(f.notFull, fd)
-		}
-	}
-}
-
-// Read pops the oldest value (§III-A), symmetric to Write: park only when
-// internally empty; otherwise advance the reader's local clock to the
-// datum's insertion date if that date is in the local future.
-func (f *SmartFIFO[T]) Read() T {
-	p := f.caller("Read")
-	f.checkSideOrder(p, &f.lastReadDate, "read")
-	r := &f.cells
-	for r.nBusy == 0 {
-		f.stats.ReaderBlocks++
-		if f.policy == SyncThenWait && !p.Synchronized() {
-			p.Sync()
-			continue
-		}
-		local := p.LocalTime()
-		p.WaitEvent(f.cellFilled)
-		p.SetLocalDate(local)
-	}
-	q := r.firstBusy
-	if f.fault != FaultNoReaderAdvance {
-		if r.ins[q] > p.LocalTime() {
-			f.stats.ReaderAdvances++
-		}
-		p.AdvanceLocalTo(r.ins[q])
-	}
-	wasAllBusy := r.nBusy == len(r.ins)
-	v := r.data[q]
-	var zero T
-	r.data[q] = zero
-	r.free[q] = p.LocalTime()
-	r.firstBusy = (q + 1) % len(r.ins)
-	r.nBusy--
-	f.stats.Reads++
-	f.lastReadDate = p.LocalTime()
-	// Wake a blocked writer, if any.
-	f.cellFreed.NotifyDelta()
-	// External view: the FIFO becomes non-full at the freeing date.
-	if wasAllBusy {
-		f.notifyAtOrDelta(f.notFull, r.free[q])
-	}
-	// §III-B, notification case 2: the next datum exists internally but
-	// becomes externally visible only at its (future) insertion date.
-	if r.nBusy > 0 {
-		if id := r.ins[r.firstBusy]; id > f.k.Now() {
-			f.notifyAtOrDelta(f.notEmpty, id)
-		}
-	}
-	return v
-}
-
-// notifyAtOrDelta schedules e at absolute date at, or at the next delta
-// cycle if at is not in the future. Unlike plain sc_event earliest-wins
-// semantics, the pending notification is replaced: the FIFO recomputes the
-// authoritative next-availability date at every state change, and an
-// earlier stale notification would be both spurious and — worse — would
-// swallow the recomputed one, stranding event-driven consumers.
-//
-// Replacement happens through sim.Event.NotifyAtReplace, which elides all
-// timed-queue traffic while the event has no subscribers (the pure Kahn
-// case: blocking Read/Write only). The authoritative date is recorded and
-// turned into a real notification lazily, the moment a waiter, static
-// method or dynamic trigger attaches, so event-driven consumers observe
-// exactly the dates they always did while the common case pays nothing.
-func (f *SmartFIFO[T]) notifyAtOrDelta(e *sim.Event, at sim.Time) {
-	if f.fault == FaultNotifyNow {
-		e.CancelNotify()
-		e.NotifyDelta()
-		return
-	}
-	e.NotifyAtReplace(at)
-}
-
-// IsEmpty implements the §III-B two-test rule, evaluated at the caller's
-// local date t: the FIFO is externally empty iff either all cells are
-// internally free, or the insertion date of the first busy cell is after
-// t. It runs in constant time ("two tests instead of one for a regular
-// FIFO"). It must be called from the reader-side process or a synchronized
-// process; under that discipline the two tests are exact.
-func (f *SmartFIFO[T]) IsEmpty() bool {
-	p := f.caller("IsEmpty")
-	if f.fault == FaultEmptyIgnoresDates {
-		return f.cells.nBusy == 0
-	}
-	if f.cells.nBusy == 0 {
-		return true
-	}
-	return f.cells.ins[f.cells.firstBusy] > p.LocalTime()
-}
-
-// IsFull is the symmetric two-test rule for the writer side: externally
-// full iff all cells are internally busy, or the freeing date of the first
-// free cell is after the caller's local date.
-func (f *SmartFIFO[T]) IsFull() bool {
-	p := f.caller("IsFull")
-	if f.cells.nBusy == f.cells.depth() {
-		return true
-	}
-	return f.cells.free[f.cells.firstFree] > p.LocalTime()
-}
-
-// TryRead pops the oldest value if the FIFO is externally non-empty at the
-// caller's local date. Unlike Read it never blocks, so it is safe from
-// method processes (§III-B usage pattern: if IsEmpty, NextTrigger on
-// NotEmpty, else TryRead).
-func (f *SmartFIFO[T]) TryRead() (T, bool) {
-	if f.IsEmpty() {
-		var zero T
-		return zero, false
-	}
-	return f.Read(), true
-}
-
-// TryWrite appends v if the FIFO is externally non-full at the caller's
-// local date. Never blocks; safe from method processes.
-func (f *SmartFIFO[T]) TryWrite(v T) bool {
-	if f.IsFull() {
-		return false
-	}
-	f.Write(v)
-	return true
-}
-
-// Size implements the monitor interface (§III-C): the number of cells the
-// *real* FIFO holds at the caller's date. The caller is synchronized first
-// (thread callers only; method callers are synchronized by construction),
-// then every cell is interpreted with the four-rule table of §III-C:
-//
-//   - an internal busy cell is really busy if its insertion date is in the
-//     past, or its previous freeing date is in the future (it was freed and
-//     refilled since the query date);
-//   - an internal free cell is really busy if its freeing date is in the
-//     future and its previous insertion date is in the past.
-//
-// Size is O(depth) — slower than a regular FIFO's counter, which is fine
-// for the low-rate monitor use the paper targets (a few accesses per
-// second).
-func (f *SmartFIFO[T]) Size() int {
-	p := f.caller("Size")
-	if !p.IsMethod() {
-		p.Sync()
-	}
-	if f.fault == FaultSizeIgnoresDates {
-		return f.cells.nBusy
-	}
-	return f.cells.datedSize(p.LocalTime())
+	f := &SmartFIFO[T]{newEnd[T](k, name, depth, false)}
+	f.cellFreed = sim.NewEvent(k, name+".cell_freed")
+	f.cellFilled = sim.NewEvent(k, name+".cell_filled")
+	f.notEmpty = sim.NewEvent(k, name+".not_empty")
+	f.notFull = sim.NewEvent(k, name+".not_full")
+	return f
 }
 
 // InternalSize returns the number of internally busy cells, ignoring

@@ -50,6 +50,83 @@ func TestMutationsAreCaught(t *testing.T) {
 			t.Errorf("fault %v not caught by any validation scenario", ft)
 		})
 	}
+	// The bridge row: the data-path faults injected into both ends of a
+	// ShardedFIFO must change its trace, whose fault-free version is the
+	// SmartFIFO one.
+	t.Run("bridge", func(t *testing.T) {
+		smart, _ := runChainSafe(false, core.FaultNone)
+		ref, panicked := runChainSafe(true, core.FaultNone)
+		if panicked {
+			t.Fatal("fault-free bridge chain panicked")
+		}
+		if d := trace.Diff(smart, ref); d != "" {
+			t.Fatalf("fault-free bridge trace differs from the SmartFIFO one:\n%s", d)
+		}
+		for _, ft := range []core.Fault{core.FaultNoReaderAdvance, core.FaultNoWriterAdvance, core.FaultInsertDateNow} {
+			got, panicked := runChainSafe(true, ft)
+			if !panicked && trace.Diff(ref, got) == "" {
+				t.Errorf("fault %v not caught on the bridge", ft)
+			}
+		}
+	})
+}
+
+// runChainSafe runs a decoupled writer→reader chain, bursty writer and
+// steady reader over a depth-3 channel so both sides block and advance,
+// through a one-kernel ShardedFIFO (bridge) or a SmartFIFO, with fault ft
+// injected. The bridge is exchanged by a Run/Flush loop at every
+// nanosecond, the date grain of the model, so a parked end wakes at the
+// date a SmartFIFO would wake it and the dates stay exact.
+func runChainSafe(bridge bool, ft core.Fault) (rec *trace.Recorder, panicked bool) {
+	defer func() {
+		if recover() != nil {
+			panicked = true
+		}
+	}()
+	k := sim.NewKernel("chain")
+	defer k.Shutdown()
+	rec = trace.NewRecorder()
+	var w interface{ Write(int) }
+	var r interface{ Read() int }
+	var b *core.ShardedFIFO[int]
+	if bridge {
+		b = core.NewSharded[int](k, k, "f", 3)
+		b.SetFault(ft)
+		w, r = b.Writer(), b.Reader()
+	} else {
+		f := core.NewSmart[int](k, "f", 3)
+		f.SetFault(ft)
+		w, r = f, f
+	}
+	const n = 30
+	k.Thread("writer", func(p *sim.Process) {
+		for i := 0; i < n; i++ {
+			w.Write(i)
+			rec.Logf(p, "wrote %d", i)
+			if i%8 == 7 {
+				p.Inc(70 * sim.NS)
+			} else {
+				p.Inc(5 * sim.NS)
+			}
+		}
+	})
+	k.Thread("reader", func(p *sim.Process) {
+		for i := 0; i < n; i++ {
+			rec.Logf(p, "read %d", r.Read())
+			p.Inc(15 * sim.NS)
+		}
+	})
+	if b == nil {
+		k.Run(sim.RunForever)
+		return rec, false
+	}
+	for end := sim.Time(0); end < 10*sim.US; end += sim.NS {
+		k.Run(end)
+		if !b.Flush() && len(k.Blocked()) == 0 {
+			break
+		}
+	}
+	return rec, false
 }
 
 // TestNoFaultFalsePositive double-checks that the detector itself is sound:

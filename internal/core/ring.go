@@ -2,11 +2,11 @@ package core
 
 import "repro/internal/sim"
 
-// ring is the timestamped cell store shared by SmartFIFO and the
-// ShardedFIFO endpoint mirrors. It is laid out struct-of-arrays — payload,
-// insertion dates and freeing dates in separate slices — so the bulk
-// transfer paths (burst.go) can move payload with copy and sweep the date
-// annotations in tight contiguous passes instead of walking an
+// ring is the timestamped cell store of an end (end.go): SmartFIFO's cells
+// and each ShardedFIFO endpoint's mirror. It is laid out struct-of-arrays
+// — payload, insertion dates and freeing dates in separate slices — so the
+// bulk transfer paths (burst.go) can move payload with copy and sweep the
+// date annotations in tight contiguous passes instead of walking an
 // array-of-structs cell at a time.
 //
 // Occupancy is positional: because cells are filled and freed in strict

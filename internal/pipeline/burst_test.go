@@ -20,9 +20,12 @@ func resultKey(r Result) string {
 // §IV-A oracle on the bulk paths — and the chunked untimed build moves the
 // same data.
 func TestBurstTraceEquivalence(t *testing.T) {
+	// 200 words in bursts of 32 leave a partial last chunk in each block.
+	shapes := []struct{ burst, words int }{{2, 192}, {16, 192}, {64, 192}, {32, 200}}
 	for _, depth := range []int{1, 4, 64} {
-		for _, burst := range []int{2, 16, 64} {
-			cfg := Config{Depth: depth, Burst: burst, Blocks: 5, WordsPerBlock: 192}
+		for _, sh := range shapes {
+			burst := sh.burst
+			cfg := Config{Depth: depth, Burst: burst, Blocks: 5, WordsPerBlock: sh.words}
 			ref := cfg
 			ref.Mode = TDless
 			bulk := cfg
@@ -43,18 +46,20 @@ func TestBurstTraceEquivalence(t *testing.T) {
 
 // TestBurstShardedMatchesSingleKernel: the chunked model over ShardedFIFO
 // bridges on 2 and 3 kernels keeps the single-kernel dates (1-vs-N-shard
-// bulk trace equivalence).
+// bulk trace equivalence), also with a partial last chunk per block.
 func TestBurstShardedMatchesSingleKernel(t *testing.T) {
 	for _, depth := range []int{1, 4, 64} {
-		cfg := Config{Mode: TDfull, Depth: depth, Burst: 16, Blocks: 5, WordsPerBlock: 192}
-		single := Run(cfg)
-		for _, shards := range []int{2, 3} {
-			sc := cfg
-			sc.Shards = shards
-			sh := Run(sc)
-			if resultKey(single) != resultKey(sh) {
-				t.Errorf("depth=%d shards=%d: sharded burst run diverges:\nsingle  %s\nsharded %s",
-					depth, shards, resultKey(single), resultKey(sh))
+		for _, sh := range []struct{ burst, words int }{{16, 192}, {32, 200}} {
+			cfg := Config{Mode: TDfull, Depth: depth, Burst: sh.burst, Blocks: 5, WordsPerBlock: sh.words}
+			single := Run(cfg)
+			for _, shards := range []int{2, 3} {
+				sc := cfg
+				sc.Shards = shards
+				got := Run(sc)
+				if resultKey(single) != resultKey(got) {
+					t.Errorf("depth=%d burst=%d words=%d shards=%d: sharded burst run diverges:\nsingle  %s\nsharded %s",
+						depth, sh.burst, sh.words, shards, resultKey(single), resultKey(got))
+				}
 			}
 		}
 	}
