@@ -6,9 +6,9 @@
 //
 // Custom metrics:
 //
-//	ctxsw/op   — kernel context switches per benchmark iteration
-//	err-ns     — max timing error vs the TDless reference (ablation)
-//	gain-%     — SoC wall-time gain of smart over sync FIFOs
+//	ctxsw/op     — kernel context switches per benchmark iteration
+//	err-ns       — max timing error vs the TDless reference (ablation)
+//	advances/op  — coordinator kernel advances per sharded iteration
 package repro
 
 import (

@@ -4,7 +4,7 @@
 // emits the results document as JSON (default) or CSV.
 //
 // The default output is deterministic — identical spec, identical bytes,
-// regardless of worker count or host — which is what the CI smoke job
+// regardless of worker count or host — which is what TestGoldenSmoke
 // pins against a golden file. Wall-clock timing is opt-in via -wall.
 //
 // Usage:

@@ -37,8 +37,8 @@ func init() {
 	})
 }
 
-// TestGoldenSmoke pins the CI smoke campaign: the checked-in spec must
-// reproduce the checked-in results byte for byte, at any worker count.
+// TestGoldenSmoke pins the smoke campaign: the checked-in spec must
+// reproduce the checked-in results byte for byte, at 1, 4 and 8 workers.
 // Regenerate the golden with:
 //
 //	go run ./cmd/campaign -spec cmd/campaign/testdata/smoke.json -check-every 5 -o cmd/campaign/testdata/smoke.golden.json
@@ -47,7 +47,7 @@ func TestGoldenSmoke(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, workers := range []int{1, 4} {
+	for _, workers := range []int{1, 4, 8} {
 		var out, errBuf bytes.Buffer
 		code := run([]string{
 			"-spec", "testdata/smoke.json",
@@ -149,7 +149,7 @@ func TestGoldenMesh(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, workers := range []int{1, 4} {
+	for _, workers := range []int{1, 4, 8} {
 		var out, errBuf bytes.Buffer
 		code := run([]string{
 			"-spec", "testdata/mesh.json",

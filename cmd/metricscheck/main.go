@@ -1,24 +1,22 @@
 // Command metricscheck validates a Prometheus text exposition and diffs
-// its metric family names against a checked-in catalog. CI scrapes a
-// live simd /metrics into a file and runs
+// its metric family names against a checked-in catalog:
 //
-//	metricscheck -catalog metrics.catalog -in /tmp/metrics.txt
+//	curl -s localhost:8080/metrics > metrics.txt
+//	metricscheck -catalog metrics.catalog -in metrics.txt
 //
 // exit 0 means the exposition parsed (TYPE/HELP lines, sample grammar,
 // histogram suffixes) and the family set matches the catalog exactly;
 // any malformed line, missing family or unlisted family is reported and
 // exits 1. That turns "someone renamed a metric" from a silent dashboard
-// breakage into a red CI check.
+// breakage into a failing check. cmd/simd's live-service test runs the
+// same comparison against a real simd process.
 package main
 
 import (
-	"bufio"
 	"flag"
 	"fmt"
 	"io"
 	"os"
-	"sort"
-	"strings"
 
 	"repro/internal/metrics"
 )
@@ -46,13 +44,13 @@ func run(args []string) int {
 		fmt.Fprintf(os.Stderr, "metricscheck: exposition invalid: %v\n", err)
 		return 1
 	}
-	want, err := readCatalog(*catalog)
+	want, err := metrics.ReadCatalog(*catalog)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "metricscheck: %v\n", err)
 		return 2
 	}
 
-	missing, extra := diff(want, got)
+	missing, extra := metrics.DiffFamilies(want, got)
 	for _, name := range missing {
 		fmt.Fprintf(os.Stderr, "metricscheck: MISSING from exposition: %s\n", name)
 	}
@@ -64,50 +62,4 @@ func run(args []string) int {
 	}
 	fmt.Printf("metricscheck: exposition valid, %d families match %s\n", len(got), *catalog)
 	return 0
-}
-
-// readCatalog loads the sorted family list, skipping blanks and #
-// comments.
-func readCatalog(path string) ([]string, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	var names []string
-	sc := bufio.NewScanner(f)
-	for sc.Scan() {
-		line := strings.TrimSpace(sc.Text())
-		if line == "" || strings.HasPrefix(line, "#") {
-			continue
-		}
-		names = append(names, line)
-	}
-	if err := sc.Err(); err != nil {
-		return nil, err
-	}
-	sort.Strings(names)
-	return names, nil
-}
-
-// diff returns catalog names absent from the exposition and exposition
-// names absent from the catalog; both inputs are sorted.
-func diff(want, got []string) (missing, extra []string) {
-	w := map[string]bool{}
-	for _, n := range want {
-		w[n] = true
-	}
-	g := map[string]bool{}
-	for _, n := range got {
-		g[n] = true
-		if !w[n] {
-			extra = append(extra, n)
-		}
-	}
-	for _, n := range want {
-		if !g[n] {
-			missing = append(missing, n)
-		}
-	}
-	return missing, extra
 }

@@ -49,7 +49,7 @@ func TestCatalogMatchesCode(t *testing.T) {
 // TestDiffDetectsDrift: a family missing from the exposition and one
 // absent from the catalog both fail the check.
 func TestDiffDetectsDrift(t *testing.T) {
-	missing, extra := diff(
+	missing, extra := metrics.DiffFamilies(
 		[]string{"a_total", "b_total"},
 		[]string{"b_total", "c_total"},
 	)

@@ -109,17 +109,17 @@ type service struct {
 	stderr *bytes.Buffer
 }
 
-// startService re-execs the test binary as simd on port against storeDir
-// and waits until /healthz answers.
-func startService(t *testing.T, port int, storeDir string) *service {
+// startService re-execs the test binary as simd on port against storeDir,
+// with extra appended to its flags, and waits until /healthz answers.
+func startService(t *testing.T, port int, storeDir string, extra ...string) *service {
 	t.Helper()
-	args := []string{
+	args := append([]string{
 		"-addr", fmt.Sprintf("127.0.0.1:%d", port),
 		"-store", storeDir,
 		"-workers", "2",
 		"-check-every", "4",
 		"-drain", "2s",
-	}
+	}, extra...)
 	js, err := json.Marshal(args)
 	if err != nil {
 		t.Fatal(err)
@@ -278,16 +278,18 @@ func crashCycle(t *testing.T, spec string, kills int) {
 		t.Errorf("campaign list misses resumed flag: %s", body)
 	}
 
-	// Byte-identical documents, both formats.
+	// Byte-identical documents: JSON, buffered CSV and streamed CSV.
 	if code, gotJSON := get(t, s.url+"/campaigns/"+id+"/results"); code != http.StatusOK {
 		t.Fatalf("results: %d %s", code, gotJSON)
 	} else if !bytes.Equal(gotJSON, wantJSON) {
 		t.Errorf("recovered JSON differs from uninterrupted run:\n--- want\n%s\n--- got\n%s", wantJSON, gotJSON)
 	}
-	if code, gotCSV := get(t, s.url+"/campaigns/"+id+"/results?format=csv"); code != http.StatusOK {
-		t.Fatalf("csv results: %d", code)
-	} else if !bytes.Equal(gotCSV, wantCSV) {
-		t.Errorf("recovered CSV differs from uninterrupted run:\n--- want\n%s\n--- got\n%s", wantCSV, gotCSV)
+	for _, query := range []string{"?format=csv", "?format=csv&stream=1"} {
+		if code, gotCSV := get(t, s.url+"/campaigns/"+id+"/results"+query); code != http.StatusOK {
+			t.Fatalf("results%s: %d", query, code)
+		} else if !bytes.Equal(gotCSV, wantCSV) {
+			t.Errorf("recovered results%s differ from uninterrupted run:\n--- want\n%s\n--- got\n%s", query, wantCSV, gotCSV)
+		}
 	}
 
 	// Zero recomputation: every point recovered from the journal at boot

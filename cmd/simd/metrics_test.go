@@ -158,6 +158,64 @@ func TestDebugTraceEmpty(t *testing.T) {
 	}
 }
 
+// TestLiveMetricsGate drives a real simd process (the re-exec'd test
+// binary) with the scheduler timeline armed through a sharded pipeline
+// sweep, then checks that its live /metrics exposition parses and
+// declares exactly the families in metrics.catalog, and that
+// /debug/trace serves a non-empty Chrome trace. The capture lives in the
+// child, so this process's par.LastTrace stays nil for
+// TestDebugTraceEmpty.
+func TestLiveMetricsGate(t *testing.T) {
+	s := startService(t, freePort(t), t.TempDir(), "-simtrace", "1024")
+	t.Cleanup(s.kill)
+
+	code, body := post(t, s.url+"/campaigns", `{"name":"smoke","model":"pipeline",
+		"params":{"blocks":2,"words_per_block":50},"matrix":{"depth":[1,4],"shards":[1,2]}}`)
+	if code != http.StatusCreated {
+		t.Fatalf("submit: %d %s", code, body)
+	}
+	var created struct {
+		ID string `json:"id"`
+	}
+	if err := json.Unmarshal(body, &created); err != nil {
+		t.Fatal(err)
+	}
+	deadline := time.Now().Add(30 * time.Second)
+	for st := pollStatus(t, s, created.ID); st.State != campaign.JobDone; st = pollStatus(t, s, created.ID) {
+		if st.State != campaign.JobRunning || time.Now().After(deadline) {
+			t.Fatalf("campaign state %s: %+v\nchild stderr:\n%s", st.State, st, s.stderr.String())
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+	if code, body := get(t, s.url+"/campaigns/"+created.ID+"/stats"); code != http.StatusOK {
+		t.Errorf("stats: %d %s", code, body)
+	}
+
+	_, expo := get(t, s.url+"/metrics")
+	got, err := metrics.ParseExposition(bytes.NewReader(expo))
+	if err != nil {
+		t.Fatalf("live exposition does not parse: %v\n%s", err, expo)
+	}
+	want, err := metrics.ReadCatalog("../../metrics.catalog")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if missing, extra := metrics.DiffFamilies(want, got); len(missing)+len(extra) > 0 {
+		t.Errorf("live families diverge from metrics.catalog: missing %v, not in catalog %v", missing, extra)
+	}
+
+	code, body = get(t, s.url+"/debug/trace")
+	if code != http.StatusOK {
+		t.Fatalf("GET /debug/trace: %d %s", code, body)
+	}
+	var tl struct {
+		TraceEvents []json.RawMessage `json:"traceEvents"`
+	}
+	if err := json.Unmarshal(body, &tl); err != nil || len(tl.TraceEvents) == 0 {
+		t.Errorf("/debug/trace is not a non-empty Chrome trace (err %v, %d events)", err, len(tl.TraceEvents))
+	}
+}
+
 // TestHealthzBuildInfo: the liveness document carries uptime and build
 // info alongside the original ok flag.
 func TestHealthzBuildInfo(t *testing.T) {
@@ -218,4 +276,3 @@ func waitDone(t *testing.T, ts *httptest.Server, id string) {
 		return st.State == campaign.JobDone
 	})
 }
-

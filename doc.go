@@ -155,8 +155,8 @@
 // deterministic expansion order: the default JSON/CSV documents carry no
 // wall-clock fields and are byte-identical across worker counts. cmd/simd
 // serves the engine over HTTP (submit/status/results, graceful shutdown);
-// cmd/campaign drives it from a spec file (the CI determinism smoke pins
-// a golden results document).
+// cmd/campaign drives it from a spec file (its TestGoldenSmoke pins a
+// golden results document at 1, 4 and 8 workers).
 //
 // # Metrics and scheduler timelines
 //
@@ -176,7 +176,7 @@
 // scheduler timeline — per-worker ring buffers of
 // park/wake/exchange/rendezvous/step records — dumped as Chrome
 // trace_event JSON for chrome://tracing or ui.perfetto.dev via the
-// -simtrace flags on fifobench/socbench or simd's /debug/trace
+// -simtrace flag of cmd/campaign or simd's /debug/trace
 // endpoint; simd serves the registry at GET /metrics and per-campaign
 // live counters at /campaigns/{id}/stats.
 package repro

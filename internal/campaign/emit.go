@@ -8,8 +8,8 @@ import (
 )
 
 // WriteJSON writes v to w as one indented JSON document, newline
-// terminated — the shared emitter behind campaign reports and the
-// fifobench/socbench -json trajectories.
+// terminated — the shared emitter behind campaign reports and simd's
+// JSON responses.
 func WriteJSON(w io.Writer, v any) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")

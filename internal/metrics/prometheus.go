@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"os"
 	"sort"
 	"strconv"
 	"strings"
@@ -99,7 +100,8 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 // every sample belongs to a declared family, sample lines parse as
 // name{labels} value, histogram sub-series map back to their family —
 // without implementing the full protobuf-equivalent model. It is the
-// shared validator behind cmd/metricscheck and the scrape tests.
+// shared validator behind cmd/metricscheck and the scrape tests, which
+// compare its result with ReadCatalog through DiffFamilies.
 func ParseExposition(r io.Reader) ([]string, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
@@ -164,6 +166,52 @@ func ParseExposition(r io.Reader) ([]string, error) {
 	}
 	sort.Strings(order)
 	return order, nil
+}
+
+// ReadCatalog loads a checked-in family catalog (one name per line,
+// blanks and # comments skipped) as a sorted list.
+func ReadCatalog(path string) ([]string, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	var names []string
+	sc := bufio.NewScanner(f)
+	for sc.Scan() {
+		line := strings.TrimSpace(sc.Text())
+		if line == "" || strings.HasPrefix(line, "#") {
+			continue
+		}
+		names = append(names, line)
+	}
+	if err := sc.Err(); err != nil {
+		return nil, err
+	}
+	sort.Strings(names)
+	return names, nil
+}
+
+// DiffFamilies returns catalog names absent from the exposition and
+// exposition names absent from the catalog; both inputs are sorted.
+func DiffFamilies(want, got []string) (missing, extra []string) {
+	w := map[string]bool{}
+	for _, n := range want {
+		w[n] = true
+	}
+	g := map[string]bool{}
+	for _, n := range got {
+		g[n] = true
+		if !w[n] {
+			extra = append(extra, n)
+		}
+	}
+	for _, n := range want {
+		if !g[n] {
+			missing = append(missing, n)
+		}
+	}
+	return missing, extra
 }
 
 // splitSample splits a sample line into its metric name and the value

@@ -38,11 +38,12 @@ func TestAllModesSameChecksum(t *testing.T) {
 	}
 }
 
-// TestTDfullExactAccuracy is the paper's claim on the benchmark system:
-// TDfull reproduces every TDless block-completion date exactly, at every
-// depth.
+// TestTDfullExactAccuracy is the paper's claim on the benchmark system,
+// the error column of Fig. 5: TDfull reproduces every TDless
+// block-completion date exactly, at every depth of the figure's sweep,
+// including depths larger than a block.
 func TestTDfullExactAccuracy(t *testing.T) {
-	for _, depth := range []int{1, 2, 4, 32} {
+	for depth := 1; depth <= 1024; depth *= 2 {
 		ref := pipeline.Run(small(pipeline.TDless, depth))
 		got := pipeline.Run(small(pipeline.TDfull, depth))
 		if ref.SimEnd != got.SimEnd {
@@ -54,32 +55,42 @@ func TestTDfullExactAccuracy(t *testing.T) {
 	}
 }
 
-// TestQuantumHasTimingError: the ablation's premise — with a large quantum
-// the block dates drift, unlike TDfull.
-func TestQuantumHasTimingError(t *testing.T) {
-	depth := 4
-	ref := pipeline.Run(small(pipeline.TDless, depth))
-	q := small(pipeline.Quantum, depth)
-	q.QuantumValue = 10 * sim.US
-	got := pipeline.Run(q)
-	if e := pipeline.MaxTimingError(ref, got); e == 0 {
-		t.Error("quantum 10us produced zero timing error; ablation premise broken")
-	}
-}
-
-// TestQuantumZeroIsTDless: quantum 0 degenerates to wait-per-annotation,
-// hence exact timing.
-func TestQuantumZeroIsTDless(t *testing.T) {
-	depth := 2
-	ref := pipeline.Run(small(pipeline.TDless, depth))
-	q := small(pipeline.Quantum, depth)
-	q.QuantumValue = 0
-	got := pipeline.Run(q)
-	if e := pipeline.MaxTimingError(ref, got); e != 0 {
-		t.Errorf("quantum 0 timing error %v, want 0", e)
-	}
-	if ref.SimEnd != got.SimEnd {
-		t.Errorf("SimEnd %v != %v", got.SimEnd, ref.SimEnd)
+// TestQuantumAblation is the §IV-B ablation: a quantum keeper buys fewer
+// context switches with timing error, while TDfull needs no quantum to
+// beat wait-per-annotation at zero error. Quantum 0 degenerates to
+// wait-per-annotation, hence exact timing. The error is not monotone in
+// the quantum, so only its sign is asserted.
+func TestQuantumAblation(t *testing.T) {
+	quanta := []sim.Time{0, 100 * sim.NS, sim.US, 10 * sim.US, 100 * sim.US}
+	for _, depth := range []int{1, 4, 64} {
+		t.Run(fmt.Sprintf("depth%d", depth), func(t *testing.T) {
+			ref := pipeline.Run(small(pipeline.TDless, depth))
+			var switches []uint64
+			for _, q := range quanta {
+				cfg := small(pipeline.Quantum, depth)
+				cfg.QuantumValue = q
+				r := pipeline.Run(cfg)
+				e := pipeline.MaxTimingError(ref, r)
+				switch {
+				case q == 0 && (e != 0 || r.SimEnd != ref.SimEnd):
+					t.Errorf("quantum 0: timing error %v, SimEnd %v (TDless %v); want exact", e, r.SimEnd, ref.SimEnd)
+				case q > 0 && e == 0:
+					t.Errorf("quantum %v: zero timing error; the ablation premise is broken", q)
+				}
+				if n := len(switches); n > 0 && r.Stats.ContextSwitches > switches[n-1] {
+					t.Errorf("quantum %v: %d context switches, more than %d at quantum %v",
+						q, r.Stats.ContextSwitches, switches[n-1], quanta[n-1])
+				}
+				switches = append(switches, r.Stats.ContextSwitches)
+			}
+			full := pipeline.Run(small(pipeline.TDfull, depth))
+			if e := pipeline.MaxTimingError(ref, full); e != 0 {
+				t.Errorf("TDfull timing error %v, want 0", e)
+			}
+			if full.Stats.ContextSwitches >= switches[0] {
+				t.Errorf("TDfull: %d context switches, not below quantum 0's %d", full.Stats.ContextSwitches, switches[0])
+			}
+		})
 	}
 }
 
