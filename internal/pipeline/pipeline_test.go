@@ -55,6 +55,35 @@ func TestTDfullExactAccuracy(t *testing.T) {
 	}
 }
 
+// TestQuantumHasTimingError: the ablation's premise — with a large quantum
+// the block dates drift, unlike TDfull.
+func TestQuantumHasTimingError(t *testing.T) {
+	depth := 4
+	ref := pipeline.Run(small(pipeline.TDless, depth))
+	q := small(pipeline.Quantum, depth)
+	q.QuantumValue = 10 * sim.US
+	got := pipeline.Run(q)
+	if e := pipeline.MaxTimingError(ref, got); e == 0 {
+		t.Error("quantum 10us produced zero timing error; ablation premise broken")
+	}
+}
+
+// TestQuantumZeroIsTDless: quantum 0 degenerates to wait-per-annotation,
+// hence exact timing.
+func TestQuantumZeroIsTDless(t *testing.T) {
+	depth := 2
+	ref := pipeline.Run(small(pipeline.TDless, depth))
+	q := small(pipeline.Quantum, depth)
+	q.QuantumValue = 0
+	got := pipeline.Run(q)
+	if e := pipeline.MaxTimingError(ref, got); e != 0 {
+		t.Errorf("quantum 0 timing error %v, want 0", e)
+	}
+	if ref.SimEnd != got.SimEnd {
+		t.Errorf("SimEnd %v != %v", got.SimEnd, ref.SimEnd)
+	}
+}
+
 // TestQuantumAblation is the §IV-B ablation: a quantum keeper buys fewer
 // context switches with timing error, while TDfull needs no quantum to
 // beat wait-per-annotation at zero error. Quantum 0 degenerates to
