@@ -64,9 +64,11 @@
 // difference is the diagnostic sim.Stats.Notifications counter, which
 // counts fewer calls because redundant per-word notification probes are
 // collapsed. The fast paths are zero-allocation in steady state and
-// ≥ 5x cheaper per word than the scalar loop (BenchmarkWriteBurst,
-// BenchmarkReadBurst); accelerator Generator/Sink streams, DMA chunking,
-// NoC packetization and the chunked pipeline/kpn workloads ride them.
+// about 4x (writes) and 5x (reads) cheaper per word than the scalar loop
+// (BenchmarkWriteBurst, BenchmarkReadBurst: 3.2 vs 12.6 and 3.7 vs
+// 17.7 ns per word, one CPU of a 2-vCPU Xeon, go1.24); accelerator
+// Generator/Sink streams, DMA chunking, NoC packetization and the chunked
+// pipeline/kpn workloads ride them.
 //
 // # Sharded parallel execution
 //

@@ -105,6 +105,42 @@ func TestShardedBurstSteadyStateZeroAlloc(t *testing.T) {
 	k.Shutdown()
 }
 
+func TestShardedScalarZeroAlloc(t *testing.T) {
+	// The bridge endpoints' scalar paths: a word written by Write is
+	// staged from a one-element slice that must stay on the stack, and
+	// the outbox and credit batches reuse their arrays across Flush
+	// rounds.
+	k := sim.NewKernel("alloc")
+	f := core.NewSharded[int](k, k, "f", 64)
+	k.Thread("writer", func(p *sim.Process) {
+		w := f.Writer()
+		for i := 0; ; i++ {
+			w.Write(i)
+			p.Inc(sim.NS)
+		}
+	})
+	k.Thread("reader", func(p *sim.Process) {
+		r := f.Reader()
+		for {
+			r.Read()
+			p.Inc(sim.NS)
+		}
+	})
+	var end sim.Time
+	step := func() {
+		end += 2 * sim.US
+		for i := 0; i < 40; i++ {
+			k.Run(end)
+			f.Flush()
+		}
+	}
+	step()
+	if n := testing.AllocsPerRun(20, step); n != 0 {
+		t.Errorf("sharded scalar steady state: %v allocs per step, want 0", n)
+	}
+	k.Shutdown()
+}
+
 func TestSmartFIFODepthOneZeroAlloc(t *testing.T) {
 	// The blocking-heavy ping-pong: every access parks on the internal
 	// events, exercising Sync, WaitEvent and the delta queues.

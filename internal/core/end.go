@@ -95,10 +95,12 @@ func (e *end[T]) NotEmpty() *sim.Event { return e.notEmpty }
 // the first available cell.
 func (e *end[T]) NotFull() *sim.Event { return e.notFull }
 
+// caller returns the process running the access op, and panics if there
+// is none.
 func (e *end[T]) caller(op string) *sim.Process {
 	p := e.k.Current()
 	if p == nil {
-		panic(fmt.Sprintf("core: %s: %s outside a process", e.name, op))
+		e.outsideProcess(op)
 	}
 	return p
 }
@@ -108,12 +110,28 @@ func (e *end[T]) caller(op string) *sim.Process {
 func (e *end[T]) checkOrder(p *sim.Process, last *sim.Time, side string) {
 	t := p.LocalTime()
 	if t < *last {
-		panic(fmt.Sprintf(
-			"core: %s: %s access by %q at local date %v after an access at %v; "+
-				"each side needs non-decreasing dates (add an Arbiter if several processes share a side)",
-			e.name, side, p.Name(), t, *last))
+		e.decreasingDate(p, side, t, *last)
 	}
 	*last = t
+}
+
+// outsideProcess panics: op was called with no process running. The
+// panics are out of line so that the access paths carry only their tests.
+//
+//go:noinline
+func (e *end[T]) outsideProcess(op string) {
+	panic(fmt.Sprintf("core: %s: %s outside a process", e.name, op))
+}
+
+// decreasingDate panics: p accessed the side at local date t, before the
+// side's last access at last.
+//
+//go:noinline
+func (e *end[T]) decreasingDate(p *sim.Process, side string, t, last sim.Time) {
+	panic(fmt.Sprintf(
+		"core: %s: %s access by %q at local date %v after an access at %v; "+
+			"each side needs non-decreasing dates (add an Arbiter if several processes share a side)",
+		e.name, side, p.Name(), t, last))
 }
 
 // Write appends v (§III-A). If every cell is internally busy the calling
@@ -121,41 +139,59 @@ func (e *end[T]) checkOrder(p *sim.Process, last *sim.Time, side string) {
 // first free cell's freeing date is in the caller's local future, the
 // caller's local clock advances to it — the real FIFO had no free cell
 // before that date — and the write costs no context switch at all.
+//
+// Write reads the caller's local date once and carries it in local. Only
+// two things change it: a park on cellFreed, after which the date is
+// restored but no earlier than the global date of the wake, and the
+// advance to the freeing date. The side's last write date is stored
+// before the blocking loop, since a bridge's frontier reads it while the
+// writer is parked.
 func (e *end[T]) Write(v T) {
-	p := e.caller("Write")
-	e.checkOrder(p, &e.lastWriteDate, "write")
+	p := e.k.Current()
+	if p == nil {
+		e.outsideProcess("Write")
+	}
+	local := p.LocalTime()
+	if local < e.lastWriteDate {
+		e.decreasingDate(p, "write", local, e.lastWriteDate)
+	}
+	e.lastWriteDate = local
 	r := &e.cells
 	for r.nBusy == len(r.ins) {
 		e.stats.WriterBlocks++
 		if e.policy == SyncThenWait && !p.Synchronized() {
 			// Let the global date catch up first; a reader may
-			// free a cell in the meantime, so re-check.
+			// free a cell in the meantime, so re-check. Sync
+			// returns at the local date it was called at.
 			p.Sync()
 			continue
 		}
 		// WaitOnly keeps the caller decoupled across the park; its
 		// absolute local date must survive the global time that
 		// passes while parked.
-		local := p.LocalTime()
 		p.WaitEvent(e.cellFreed)
 		p.SetLocalDate(local)
+		local = p.LocalTime()
 	}
 	q := r.firstFree
-	if e.fault != FaultNoWriterAdvance {
-		if r.free[q] > p.LocalTime() {
-			e.stats.WriterAdvances++
-		}
-		p.AdvanceLocalTo(r.free[q])
+	if fd := r.free[q]; fd > local && e.fault != FaultNoWriterAdvance {
+		e.stats.WriterAdvances++
+		p.AdvanceLocalTo(fd)
+		local = fd
 	}
 	wasAllFree := r.nBusy == 0
-	r.ins[q] = p.LocalTime()
+	r.ins[q] = local
 	if e.fault == FaultInsertDateNow {
 		r.ins[q] = e.k.Now()
 	}
-	r.firstFree = (q + 1) % len(r.ins)
+	nq := q + 1
+	if nq == len(r.ins) {
+		nq = 0
+	}
+	r.firstFree = nq
 	r.nBusy++
 	e.stats.Writes++
-	e.lastWriteDate = p.LocalTime()
+	e.lastWriteDate = local
 	if e.bridge {
 		e.stage(p, []T{v}, q)
 	} else {
@@ -170,7 +206,7 @@ func (e *end[T]) Write(v T) {
 	// If the *next* free cell's freeing date is in the future, a
 	// synchronized writer still sees the FIFO as full until that date.
 	if r.nBusy < len(r.ins) {
-		if fd := r.free[r.firstFree]; fd > e.k.Now() {
+		if fd := r.free[nq]; fd > e.k.Now() {
 			e.notify(e.notFull, fd)
 		}
 	}
@@ -178,41 +214,53 @@ func (e *end[T]) Write(v T) {
 
 // Read pops the oldest value (§III-A), symmetric to Write: park only when
 // internally empty; otherwise advance the reader's local clock to the
-// datum's insertion date if that date is in the local future.
+// datum's insertion date if that date is in the local future. Like Write
+// it reads the local date once and stores the side's last read date
+// before the blocking loop.
 func (e *end[T]) Read() T {
-	p := e.caller("Read")
-	e.checkOrder(p, &e.lastReadDate, "read")
+	p := e.k.Current()
+	if p == nil {
+		e.outsideProcess("Read")
+	}
+	local := p.LocalTime()
+	if local < e.lastReadDate {
+		e.decreasingDate(p, "read", local, e.lastReadDate)
+	}
+	e.lastReadDate = local
 	r := &e.cells
 	for r.nBusy == 0 {
 		e.stats.ReaderBlocks++
 		// A bridge's frontier (readFloor) must see a blocked reader
 		// and its retry date before it parks.
 		e.noteReader(p)
-		e.retryAt = max(e.retryAt, p.LocalTime())
+		e.retryAt = max(e.retryAt, local)
 		if e.policy == SyncThenWait && !p.Synchronized() {
 			p.Sync()
 			continue
 		}
-		local := p.LocalTime()
 		p.WaitEvent(e.cellFilled)
 		p.SetLocalDate(local)
+		local = p.LocalTime()
 	}
 	q := r.firstBusy
-	if e.fault != FaultNoReaderAdvance {
-		if r.ins[q] > p.LocalTime() {
-			e.stats.ReaderAdvances++
-		}
-		p.AdvanceLocalTo(r.ins[q])
+	if id := r.ins[q]; id > local && e.fault != FaultNoReaderAdvance {
+		e.stats.ReaderAdvances++
+		p.AdvanceLocalTo(id)
+		local = id
 	}
 	wasAllBusy := r.nBusy == len(r.ins)
 	v := r.data[q]
 	var zero T
 	r.data[q] = zero
-	r.free[q] = p.LocalTime()
-	r.firstBusy = (q + 1) % len(r.ins)
+	r.free[q] = local
+	nq := q + 1
+	if nq == len(r.ins) {
+		nq = 0
+	}
+	r.firstBusy = nq
 	r.nBusy--
 	e.stats.Reads++
-	e.lastReadDate = p.LocalTime()
+	e.lastReadDate = local
 	if e.bridge {
 		e.credit(p, q, 1)
 	} else {
@@ -220,13 +268,13 @@ func (e *end[T]) Read() T {
 		// becomes non-full at the freeing date.
 		e.cellFreed.NotifyDelta()
 		if wasAllBusy {
-			e.notify(e.notFull, r.free[q])
+			e.notify(e.notFull, local)
 		}
 	}
 	// §III-B, notification case 2: the next datum exists internally but
 	// becomes externally visible only at its (future) insertion date.
 	if r.nBusy > 0 {
-		if id := r.ins[r.firstBusy]; id > e.k.Now() {
+		if id := r.ins[nq]; id > e.k.Now() {
 			e.notify(e.notEmpty, id)
 		}
 	}

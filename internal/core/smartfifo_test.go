@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/core"
@@ -460,29 +461,132 @@ func TestTryReadTryWrite(t *testing.T) {
 	k.Run(sim.RunForever)
 }
 
-// TestAccessDisciplinePanics: decreasing local dates on one side must be
-// rejected (the §III precondition).
-func TestAccessDisciplinePanics(t *testing.T) {
-	k := sim.NewKernel("disc")
-	f := core.NewSmart[int](k, "fifo", 8)
-	caught := false
-	k.Thread("w1", func(p *sim.Process) {
-		p.Inc(50 * sim.NS)
-		f.Write(1)
-	})
-	k.Thread("w2", func(p *sim.Process) {
-		defer func() {
-			if recover() != nil {
-				caught = true
+// TestParkedAccessIsNotAnAdvance: an access that parks resumes at the
+// global date its peer woke it at, so a cell freed (or filled) at exactly
+// that date costs it no further advance. Counting one would report a
+// saved context switch that was in fact paid.
+func TestParkedAccessIsNotAnAdvance(t *testing.T) {
+	for _, side := range []string{"writer", "reader"} {
+		t.Run(side, func(t *testing.T) {
+			k := sim.NewKernel("park")
+			f := core.NewSmart[int](k, "fifo", 1)
+			var resumed sim.Time
+			if side == "writer" {
+				// The second write parks on the full cell; the reader
+				// frees it at global date 50ns.
+				k.Thread("writer", func(p *sim.Process) {
+					f.Write(1)
+					f.Write(2)
+					resumed = p.LocalTime()
+				})
+				k.Thread("reader", func(p *sim.Process) {
+					p.Wait(50 * sim.NS)
+					f.Read()
+				})
+			} else {
+				// The read parks on the empty cell; the writer fills
+				// it at global date 50ns.
+				k.Thread("reader", func(p *sim.Process) {
+					f.Read()
+					resumed = p.LocalTime()
+				})
+				k.Thread("writer", func(p *sim.Process) {
+					p.Wait(50 * sim.NS)
+					f.Write(1)
+				})
 			}
-		}()
-		p.Wait(0) // run after w1, but at local date 0 < 50ns
-		f.Write(2)
-	})
-	k.Run(sim.RunForever)
-	if !caught {
-		t.Error("second writer with decreasing date did not panic")
+			k.Run(sim.RunForever)
+			k.Shutdown()
+			if resumed != 50*sim.NS {
+				t.Errorf("parked %s resumed at %v, want 50ns", side, resumed)
+			}
+			st := f.Stats()
+			want := core.Stats{Writes: 2, Reads: 1, WriterBlocks: 1}
+			if side == "reader" {
+				want = core.Stats{Writes: 1, Reads: 1, ReaderBlocks: 1}
+			}
+			if st != want {
+				t.Errorf("stats %+v, want %+v", st, want)
+			}
+		})
 	}
+}
+
+// TestAccessDisciplinePanics: decreasing local dates on one side must be
+// rejected (the §III precondition), and so must an access outside a
+// process. Each row pins the full panic text: channel, side, process and
+// both dates.
+func TestAccessDisciplinePanics(t *testing.T) {
+	const order = "each side needs non-decreasing dates (add an Arbiter if several processes share a side)"
+	// inThread runs process p1, then p2 one delta later at local date 0,
+	// and returns the text p2's access panicked with.
+	inThread := func(k *sim.Kernel, p1 func(*sim.Process), p2 func()) string {
+		var msg string
+		k.Thread("p1", p1)
+		k.Thread("p2", func(p *sim.Process) {
+			p.Wait(0)
+			msg = panicText(p2)
+		})
+		k.Run(sim.RunForever)
+		k.Shutdown()
+		return msg
+	}
+	cases := []struct {
+		name string
+		run  func(k *sim.Kernel, f *core.SmartFIFO[int]) string
+		want string
+	}{
+		{"write date decreases", func(k *sim.Kernel, f *core.SmartFIFO[int]) string {
+			return inThread(k, func(p *sim.Process) {
+				p.Inc(50 * sim.NS)
+				f.Write(1)
+			}, func() { f.Write(2) })
+		}, `core: fifo: write access by "p2" at local date 0s after an access at 50ns; ` + order},
+		{"read date decreases", func(k *sim.Kernel, f *core.SmartFIFO[int]) string {
+			return inThread(k, func(p *sim.Process) {
+				f.Write(1)
+				f.Write(2)
+				p.Inc(70 * sim.NS)
+				f.Read()
+			}, func() { f.Read() })
+		}, `core: fifo: read access by "p2" at local date 0s after an access at 70ns; ` + order},
+		{"Write outside a process", func(k *sim.Kernel, f *core.SmartFIFO[int]) string {
+			return panicText(func() { f.Write(1) })
+		}, "core: fifo: Write outside a process"},
+		{"Read outside a process", func(k *sim.Kernel, f *core.SmartFIFO[int]) string {
+			return panicText(func() { f.Read() })
+		}, "core: fifo: Read outside a process"},
+		{"IsEmpty outside a process", func(k *sim.Kernel, f *core.SmartFIFO[int]) string {
+			return panicText(func() { f.IsEmpty() })
+		}, "core: fifo: IsEmpty outside a process"},
+		{"IsFull outside a process", func(k *sim.Kernel, f *core.SmartFIFO[int]) string {
+			return panicText(func() { f.IsFull() })
+		}, "core: fifo: IsFull outside a process"},
+		{"Size outside a process", func(k *sim.Kernel, f *core.SmartFIFO[int]) string {
+			return panicText(func() { f.Size() })
+		}, "core: fifo: Size outside a process"},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			k := sim.NewKernel("disc")
+			f := core.NewSmart[int](k, "fifo", 8)
+			if got := c.run(k, f); got != c.want {
+				t.Errorf("panic = %q\nwant    %q", got, c.want)
+			}
+		})
+	}
+}
+
+// panicText runs f and returns the value it panicked with, as text, or ""
+// if it returned normally.
+func panicText(f func()) (msg string) {
+	defer func() {
+		if r := recover(); r != nil {
+			msg = fmt.Sprint(r)
+		}
+	}()
+	f()
+	return ""
 }
 
 // TestFIFOOrderPreserved: data comes out in insertion order across blocking

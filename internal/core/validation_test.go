@@ -11,6 +11,7 @@ package core_test
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/core"
@@ -146,6 +147,64 @@ func TestDualModeFig1(t *testing.T) {
 			t.Run(name, func(t *testing.T) {
 				checkDualMode(t, scenarioFig1(depth, 12, periods[0], periods[1]), 1)
 			})
+		}
+	}
+}
+
+// TestScalarRingWrapBoundaries pins the scalar ring's wrap-around at its
+// boundaries: word counts one short of the depth, at it, one past it, and
+// at and past two laps, with rates that make the writer block and advance
+// to freeing dates (fast writer) or the reader block and advance to
+// insertion dates (fast reader). The scalar Smart FIFO's trace must match
+// the dual-mode reference, and its trace, Stats and context switches must
+// match those of the bulk path (burst.go), which wraps its runs by its own
+// code.
+func TestScalarRingWrapBoundaries(t *testing.T) {
+	rates := []struct {
+		name string
+		w, r sim.Time
+	}{
+		{"fast-writer", sim.NS, 7 * sim.NS},
+		{"fast-reader", 7 * sim.NS, sim.NS},
+	}
+	for _, d := range []int{1, 2, 3, 7, 1024} {
+		for _, n := range slices.Compact([]int{d - 1, d, d + 1, 2 * d, 2*d + 1}) {
+			for _, rt := range rates {
+				t.Run(fmt.Sprintf("depth%d_n%d_%s", d, n, rt.name), func(t *testing.T) {
+					checkDualMode(t, scenarioFig1(d, n, rt.w, rt.r), 1)
+
+					// One word-sized period between words, in chunks of
+					// up to 16 (driveBurst's buffer).
+					wOps := []burstOp{{n: 16, per: rt.w, gap: rt.w}}
+					rOps := []burstOp{{n: 16, per: rt.r, gap: rt.r}}
+					scalarTrace, scalar, scalarSwitches := runBurstSmart(d, n, wOps, rOps, false, true)
+					bulkTrace, bulk, bulkSwitches := runBurstSmart(d, n, wOps, rOps, true, true)
+					if diff := trace.Diff(scalarTrace, bulkTrace); diff != "" {
+						t.Errorf("scalar trace differs from the bulk path:\n%s", diff)
+					}
+					if scalar != bulk {
+						t.Errorf("stats: scalar %+v, bulk %+v", scalar, bulk)
+					}
+					if scalarSwitches != bulkSwitches {
+						t.Errorf("context switches: scalar %d, bulk %d", scalarSwitches, bulkSwitches)
+					}
+					if scalar.Writes != uint64(n) || scalar.Reads != uint64(n) {
+						t.Errorf("stats %+v: want %d writes and reads", scalar, n)
+					}
+					// The fast side blocks once the words outnumber the
+					// cells, and advances once they lap the ring twice.
+					blocks, advances := scalar.ReaderBlocks, scalar.ReaderAdvances
+					if rt.w < rt.r {
+						blocks, advances = scalar.WriterBlocks, scalar.WriterAdvances
+					}
+					if n > d && blocks == 0 {
+						t.Errorf("stats %+v: the %s never blocked", scalar, rt.name)
+					}
+					if n >= 2*d && d > 1 && advances == 0 {
+						t.Errorf("stats %+v: the %s never advanced", scalar, rt.name)
+					}
+				})
+			}
 		}
 	}
 }

@@ -143,13 +143,25 @@ func (e *Event) Notify() {
 
 // NotifyDelta schedules a notification for the next delta cycle
 // (notify(SC_ZERO_TIME)). It overrides a pending timed notification but is
-// itself overridden by an immediate one.
+// itself overridden by an immediate one. Every call counts one
+// notification, also when a delta notification is already pending.
+//
+// NotifyDelta is small enough to inline: the Smart FIFO calls it on every
+// access, and usually finds the delta notification already pending.
 func (e *Event) NotifyDelta() {
 	e.k.stats.Notifications++
 	e.elided = false
-	if e.deltaPending {
-		return
+	if !e.deltaPending {
+		e.scheduleDelta()
 	}
+}
+
+// scheduleDelta makes a delta notification pending, replacing a pending
+// timed one. The caller has checked that none is pending yet; it is out
+// of line so that NotifyDelta inlines.
+//
+//go:noinline
+func (e *Event) scheduleDelta() {
 	if e.timedPending {
 		e.k.timed.remove(&e.pend)
 		e.timedPending = false
@@ -223,13 +235,10 @@ func (e *Event) NotifyAtReplace(at Time) {
 	e.elided = false
 	k.stats.Notifications++
 	if at <= k.now {
-		if e.timedPending {
-			k.timed.remove(&e.pend)
-			e.timedPending = false
-		}
+		// A pending delta notification already fires at this date
+		// (and is never pending beside a timed one).
 		if !e.deltaPending {
-			e.deltaPending = true
-			k.deltaEvents = append(k.deltaEvents, e)
+			e.scheduleDelta()
 		}
 		return
 	}
@@ -271,8 +280,7 @@ func (e *Event) deliverElided() {
 	k.stats.Notifications++
 	if at <= k.now {
 		if !e.deltaPending {
-			e.deltaPending = true
-			k.deltaEvents = append(k.deltaEvents, e)
+			e.scheduleDelta()
 		}
 		return
 	}
