@@ -48,9 +48,10 @@
 // Burst words advance a side's local clock by a fixed period, so their
 // insertion/freeing dates form arithmetic runs. The burst APIs
 // (WriteBurst, ReadBurst, TryWriteBurst, TryReadBurst on core.SmartFIFO
-// and the core.ShardedFIFO endpoints, which run the same channel code, and
-// on fifo.FIFO; generic dispatch helpers
-// in package fifo) exploit that with run-based fast paths: a burst splits
+// and the core.ShardedFIFO endpoints, which run the same channel code;
+// generic dispatch helpers in package fifo) exploit that with run-based
+// fast paths. Only the Smart-FIFO core has a native path: on the baselines
+// (fifo.FIFO, fifo.SyncFIFO) the helpers run the scalar loop. A burst splits
 // into runs bounded by the next internal full/empty boundary, payload
 // moves with copy, dates are annotated in one vector pass, and event work
 // collapses to at most one notification per event per run. The contract is

@@ -6,12 +6,15 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/fifo"
 )
 
 // TestPublicMethodSets pins the exported method sets of the channel types.
 // bench/ and the models compile against them, and SmartFIFO and both bridge
 // endpoints share one unexported core: a side's methods must not leak onto
-// the other endpoint (as embedding the core in an endpoint would do).
+// the other endpoint (as embedding the core in an endpoint would do). The
+// baselines' rows keep them on the plain Reader/Writer surface: only the
+// Smart-FIFO core has a native burst path.
 func TestPublicMethodSets(t *testing.T) {
 	cases := []struct {
 		v any
@@ -37,6 +40,14 @@ func TestPublicMethodSets(t *testing.T) {
 		{v: (*core.ShardedReader[int])(nil), want: []string{
 			"Depth", "IsEmpty", "Kernel", "Name", "NotEmpty", "Read",
 			"ReadBurst", "Size", "TryRead", "TryReadBurst",
+		}},
+		{v: (*fifo.FIFO[int])(nil), want: []string{
+			"Depth", "IsEmpty", "IsFull", "Name", "NotEmpty", "NotFull",
+			"Peek", "Read", "Size", "TryRead", "TryWrite", "Write",
+		}},
+		{v: (*fifo.SyncFIFO[int])(nil), want: []string{
+			"Depth", "IsEmpty", "IsFull", "Name", "NotEmpty", "NotFull",
+			"Read", "Size", "TryRead", "TryWrite", "Write",
 		}},
 	}
 	for _, c := range cases {

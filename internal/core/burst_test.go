@@ -8,10 +8,12 @@ package core_test
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 	"testing/quick"
 
 	"repro/internal/core"
+	"repro/internal/fifo"
 	"repro/internal/par"
 	"repro/internal/sim"
 	"repro/internal/trace"
@@ -603,6 +605,107 @@ func TestBurstFaultFallback(t *testing.T) {
 		k2.Shutdown()
 		if fmt.Sprint(faulty) == fmt.Sprint(clean) {
 			t.Errorf("fault %v invisible through the burst API (dates %v)", ft, faulty)
+		}
+	}
+}
+
+// TestBurstNegativePerPanics pins the contract's negative-per clause on
+// every channel family the fifo helpers serve, native path or not: a
+// negative per panics inside Inc exactly like the scalar loop. A one-word
+// burst never calls Inc, so it transfers its word; a longer one transfers
+// word 0 and then panics at word 1's Inc, which Run re-raises.
+func TestBurstNegativePerPanics(t *testing.T) {
+	const per = -sim.NS
+	type channel struct {
+		w     fifo.Writer[int]
+		r     fifo.Reader[int]
+		flush func() bool // moves a self-bridge's staged words; nil otherwise
+	}
+	families := []struct {
+		name string
+		mk   func(k *sim.Kernel) channel
+	}{
+		{"SmartFIFO", func(k *sim.Kernel) channel {
+			f := core.NewSmart[int](k, "f", 4)
+			return channel{w: f, r: f}
+		}},
+		{"ShardedFIFO", func(k *sim.Kernel) channel {
+			f := core.NewSharded[int](k, k, "f", 4)
+			return channel{w: f.Writer(), r: f.Reader(), flush: f.Flush}
+		}},
+		{"FIFO", func(k *sim.Kernel) channel {
+			f := fifo.New[int](k, "f", 4)
+			return channel{w: f, r: f}
+		}},
+		{"SyncFIFO", func(k *sim.Kernel) channel {
+			f := fifo.NewSync[int](k, "f", 4)
+			return channel{w: f, r: f}
+		}},
+	}
+	// Each helper moves buf through the channel; write reports whether it
+	// is a write-side helper (the channel starts empty) or a read-side one
+	// (the channel starts with 1, 2, 3).
+	helpers := []struct {
+		name  string
+		write bool
+		run   func(p *sim.Process, c channel, buf []int)
+	}{
+		{"WriteBurst", true, func(p *sim.Process, c channel, buf []int) { fifo.WriteBurst(p, c.w, buf, per) }},
+		{"TryWriteBurst", true, func(p *sim.Process, c channel, buf []int) { fifo.TryWriteBurst(p, c.w, buf, per) }},
+		{"ReadBurst", false, func(p *sim.Process, c channel, buf []int) { fifo.ReadBurst(p, c.r, buf, per) }},
+		{"TryReadBurst", false, func(p *sim.Process, c channel, buf []int) { fifo.TryReadBurst(p, c.r, buf, per) }},
+	}
+	const wantPanic = `sim: process "burst" panicked: sim: burst: Inc with negative duration -1ns`
+	for _, fam := range families {
+		for _, h := range helpers {
+			for _, n := range []int{1, 3} {
+				t.Run(fmt.Sprintf("%s/%s/%d", fam.name, h.name, n), func(t *testing.T) {
+					k := sim.NewKernel("neg")
+					defer k.Shutdown()
+					c := fam.mk(k)
+					buf := make([]int, n)
+					if h.write {
+						for i := range buf {
+							buf[i] = i + 1
+						}
+					} else {
+						k.Thread("fill", func(*sim.Process) {
+							for v := 1; v <= 3; v++ {
+								c.w.Write(v)
+							}
+						})
+						k.Run(sim.RunForever)
+						if c.flush != nil {
+							c.flush()
+						}
+					}
+					size := -1
+					k.Thread("burst", func(p *sim.Process) {
+						if h.write {
+							// Observed on the way out, panic or not.
+							defer func() { size = c.w.(interface{ Size() int }).Size() }()
+						}
+						h.run(p, c, buf)
+					})
+					var got any
+					func() {
+						defer func() { got = recover() }()
+						k.Run(sim.RunForever)
+					}()
+					switch {
+					case n == 1 && got != nil:
+						t.Errorf("1-word burst panicked: %v", got)
+					case n > 1 && got != wantPanic:
+						t.Errorf("%d-word burst: Run panicked with %v, want %q", n, got, wantPanic)
+					}
+					if h.write && size != 1 {
+						t.Errorf("writer sees %d words in the channel, want word 0 only", size)
+					}
+					if !h.write && (buf[0] != 1 || slices.ContainsFunc(buf[1:], func(v int) bool { return v != 0 })) {
+						t.Errorf("read %v, want word 0 (1) only", buf)
+					}
+				})
+			}
 		}
 	}
 }

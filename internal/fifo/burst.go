@@ -2,22 +2,22 @@ package fifo
 
 import "repro/internal/sim"
 
-// Burst transfers. Every burst method follows the contract of
+// Burst transfers. Every burst follows the contract of
 // internal/core/burst.go: word 0 is transferred at the caller's current
 // local date and per of local time is advanced between consecutive words —
 // the scalar oracle
 //
 //	for i, v := range vals { if i > 0 { p.Inc(per) }; w.Write(v) }
 //
-// (with the IsFull/IsEmpty pre-checks for the Try variants). Channels that
-// can do better implement BurstWriter/BurstReader natively; the package
-// helpers dispatch to the native path when available and fall back to the
-// scalar loop otherwise, so model code can be written once against the
+// (with the IsFull/IsEmpty pre-checks for the Try variants). The Smart-FIFO
+// core (core.SmartFIFO and both core.ShardedFIFO endpoints) implements
+// BurstWriter/BurstReader natively; the package helpers dispatch to that
+// path when available and run the scalar loop otherwise, which is what the
+// baselines (FIFO, SyncFIFO) get. Model code is written once against the
 // plain Reader/Writer interfaces.
 
-// BurstWriter is the optional bulk write-side interface. The Smart FIFO,
-// the sharded bridge endpoints and the regular FIFO implement it with
-// run-based fast paths.
+// BurstWriter is the optional bulk write-side interface. The Smart FIFO and
+// the sharded bridge endpoints implement it with one run-based fast path.
 type BurstWriter[T any] interface {
 	// WriteBurst writes vals in order, advancing the caller's local
 	// clock by per between consecutive words; it blocks like Write.
@@ -112,249 +112,3 @@ func TryReadBurst[T any](p *sim.Process, r Reader[T], dst []T, per sim.Time) int
 	}
 	return n
 }
-
-// --- FIFO native bursts ---
-
-// A regular FIFO has no cell timestamps, so its bulk path is pure ring
-// movement: payload moves with copy (≤ 2 contiguous segments), the local
-// clock advances by the lumped inter-word total, and the per-word delta
-// notifications collapse to one per run (NotifyDelta is idempotent while
-// pending, and nothing can observe the intermediate states — the scalar
-// loop never yields between non-blocking words).
-
-// WriteBurst writes vals under the burst contract, blocking like Write
-// while the FIFO is full.
-func (f *FIFO[T]) WriteBurst(vals []T, per sim.Time) {
-	p := f.caller("WriteBurst")
-	first := true
-	for len(vals) > 0 {
-		m := len(f.buf) - f.n
-		if m == 0 || per < 0 {
-			if !first {
-				p.Inc(per)
-			}
-			f.Write(vals[0])
-			vals = vals[1:]
-			first = false
-			continue
-		}
-		if m > len(vals) {
-			m = len(vals)
-		}
-		inc := m - 1
-		if !first {
-			inc = m
-		}
-		p.Inc(sim.Time(inc) * per)
-		f.pushBulk(vals[:m])
-		vals = vals[m:]
-		first = false
-	}
-}
-
-// ReadBurst fills dst under the burst contract, blocking like Read while
-// the FIFO is empty.
-func (f *FIFO[T]) ReadBurst(dst []T, per sim.Time) {
-	p := f.caller("ReadBurst")
-	first := true
-	for len(dst) > 0 {
-		m := f.n
-		if m == 0 || per < 0 {
-			if !first {
-				p.Inc(per)
-			}
-			dst[0] = f.Read()
-			dst = dst[1:]
-			first = false
-			continue
-		}
-		if m > len(dst) {
-			m = len(dst)
-		}
-		inc := m - 1
-		if !first {
-			inc = m
-		}
-		p.Inc(sim.Time(inc) * per)
-		f.popBulk(dst[:m])
-		dst = dst[m:]
-		first = false
-	}
-}
-
-// TryWriteBurst writes up to len(vals) words without blocking and returns
-// the number written.
-func (f *FIFO[T]) TryWriteBurst(vals []T, per sim.Time) int {
-	p := f.caller("TryWriteBurst")
-	if per < 0 {
-		// Panic parity with the contract loop: word 0 lands, the
-		// word-1 Inc panics.
-		n := 0
-		for i, v := range vals {
-			if i > 0 {
-				if f.IsFull() {
-					break
-				}
-				p.Inc(per)
-			}
-			if !f.TryWrite(v) {
-				break
-			}
-			n++
-		}
-		return n
-	}
-	m := len(f.buf) - f.n
-	if m > len(vals) {
-		m = len(vals)
-	}
-	if m == 0 {
-		return 0
-	}
-	p.Inc(sim.Time(m-1) * per)
-	f.pushBulk(vals[:m])
-	return m
-}
-
-// TryReadBurst pops up to len(dst) words without blocking and returns the
-// number read.
-func (f *FIFO[T]) TryReadBurst(dst []T, per sim.Time) int {
-	p := f.caller("TryReadBurst")
-	if per < 0 {
-		n := 0
-		for i := range dst {
-			if i > 0 {
-				if f.IsEmpty() {
-					break
-				}
-				p.Inc(per)
-			}
-			v, ok := f.TryRead()
-			if !ok {
-				break
-			}
-			dst[i] = v
-			n++
-		}
-		return n
-	}
-	m := f.n
-	if m > len(dst) {
-		m = len(dst)
-	}
-	if m == 0 {
-		return 0
-	}
-	p.Inc(sim.Time(m-1) * per)
-	f.popBulk(dst[:m])
-	return m
-}
-
-// pushBulk appends vals (which must fit) and notifies once.
-func (f *FIFO[T]) pushBulk(vals []T) {
-	tail := (f.head + f.n) % len(f.buf)
-	n1 := len(f.buf) - tail
-	if n1 > len(vals) {
-		n1 = len(vals)
-	}
-	copy(f.buf[tail:tail+n1], vals[:n1])
-	copy(f.buf, vals[n1:])
-	f.n += len(vals)
-	f.notEmpty.NotifyDelta()
-}
-
-// popBulk moves the oldest len(dst) words (which must exist) into dst,
-// zeroes the vacated cells and notifies once.
-func (f *FIFO[T]) popBulk(dst []T) {
-	n1 := len(f.buf) - f.head
-	if n1 > len(dst) {
-		n1 = len(dst)
-	}
-	copy(dst[:n1], f.buf[f.head:f.head+n1])
-	clear(f.buf[f.head : f.head+n1])
-	copy(dst[n1:], f.buf)
-	clear(f.buf[:len(dst)-n1])
-	f.head = (f.head + len(dst)) % len(f.buf)
-	f.n -= len(dst)
-	f.notFull.NotifyDelta()
-}
-
-// --- SyncFIFO bursts ---
-
-// The sync-on-every-access baseline cannot batch: its defining property is
-// one synchronization per access. Its burst methods are the literal scalar
-// contract loops, provided so model code using the burst vocabulary keeps
-// the baseline's exact per-word behavior.
-
-// WriteBurst writes vals under the burst contract, synchronizing on every
-// word like Write.
-func (f *SyncFIFO[T]) WriteBurst(vals []T, per sim.Time) {
-	p := f.inner.caller("WriteBurst")
-	for i, v := range vals {
-		if i > 0 {
-			p.Inc(per)
-		}
-		f.Write(v)
-	}
-}
-
-// ReadBurst fills dst under the burst contract, synchronizing on every
-// word like Read.
-func (f *SyncFIFO[T]) ReadBurst(dst []T, per sim.Time) {
-	p := f.inner.caller("ReadBurst")
-	for i := range dst {
-		if i > 0 {
-			p.Inc(per)
-		}
-		dst[i] = f.Read()
-	}
-}
-
-// TryWriteBurst writes up to len(vals) words without blocking, one
-// synchronized TryWrite per word.
-func (f *SyncFIFO[T]) TryWriteBurst(vals []T, per sim.Time) int {
-	p := f.inner.caller("TryWriteBurst")
-	n := 0
-	for i, v := range vals {
-		if i > 0 {
-			if f.IsFull() {
-				break
-			}
-			p.Inc(per)
-		}
-		if !f.TryWrite(v) {
-			break
-		}
-		n++
-	}
-	return n
-}
-
-// TryReadBurst pops up to len(dst) words without blocking, one
-// synchronized TryRead per word.
-func (f *SyncFIFO[T]) TryReadBurst(dst []T, per sim.Time) int {
-	p := f.inner.caller("TryReadBurst")
-	n := 0
-	for i := range dst {
-		if i > 0 {
-			if f.IsEmpty() {
-				break
-			}
-			p.Inc(per)
-		}
-		v, ok := f.TryRead()
-		if !ok {
-			break
-		}
-		dst[i] = v
-		n++
-	}
-	return n
-}
-
-var (
-	_ BurstWriter[int] = (*FIFO[int])(nil)
-	_ BurstReader[int] = (*FIFO[int])(nil)
-	_ BurstWriter[int] = (*SyncFIFO[int])(nil)
-	_ BurstReader[int] = (*SyncFIFO[int])(nil)
-)

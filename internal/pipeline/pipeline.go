@@ -292,8 +292,9 @@ func modelGraph(cfg Config) (*netlist.Graph, *run) {
 
 	if cfg.Burst > 1 {
 		// Burst-dominated configuration: words move in chunks through
-		// the burst APIs (bulk fast paths for TDfull and Untimed, the
-		// mode's per-word delayer for TDless and Quantum).
+		// the burst helpers (the Smart FIFO's bulk fast path for TDfull,
+		// the scalar contract loop on Untimed's plain FIFOs, the mode's
+		// per-word delayer for TDless and Quantum).
 		writeChunk := func(p *sim.Process, w fifo.Writer[workload.Word], delay delayer, chunk []workload.Word, per sim.Time) {
 			switch cfg.Mode {
 			case TDfull:

@@ -2,6 +2,7 @@ package repro
 
 import (
 	"os"
+	"os/exec"
 	"strings"
 	"testing"
 )
@@ -63,5 +64,32 @@ func TestWorkflowScalars(t *testing.T) {
 		if why := plainScalarProblem(line); why != "" {
 			t.Errorf("ci.yml:%d: %s (quote it): %s", i+1, why, strings.TrimSpace(line))
 		}
+	}
+}
+
+// TestGofmtClean fails when any Go file of the module, bench/ included, is
+// not gofmt-formatted. Hidden top-level directories (.git, the benchmark's
+// .bench_build scratch) are not part of the source tree and are skipped.
+func TestGofmtClean(t *testing.T) {
+	gofmt, err := exec.LookPath("gofmt")
+	if err != nil {
+		t.Skip("gofmt not on PATH")
+	}
+	entries, err := os.ReadDir(".")
+	if err != nil {
+		t.Fatal(err)
+	}
+	args := []string{"-l"}
+	for _, e := range entries {
+		if name := e.Name(); !strings.HasPrefix(name, ".") && (e.IsDir() || strings.HasSuffix(name, ".go")) {
+			args = append(args, name)
+		}
+	}
+	out, err := exec.Command(gofmt, args...).CombinedOutput()
+	if err != nil {
+		t.Fatalf("gofmt -l: %v\n%s", err, out)
+	}
+	if files := strings.TrimSpace(string(out)); files != "" {
+		t.Errorf("files not gofmt-formatted (run gofmt -w):\n%s", files)
 	}
 }
