@@ -186,8 +186,117 @@ func TestThreadSwitchEdges(t *testing.T) {
 			}()
 			k.Run(sim.RunForever)
 		}},
+		{"a panic in a thread entered by hand-off blames that thread", func(t *testing.T) {
+			defer leakcheck.Check(t)()
+			k := sim.NewKernel("k")
+			a, _ := handOffPair(k, func() { panic("boom") })
+			defer func() {
+				const want = `sim: process "b" panicked: boom`
+				if r := recover(); r != want {
+					t.Errorf("recovered %#v, want %q", r, want)
+				}
+				if a.Terminated() {
+					t.Error("the handing thread was terminated by its peer's panic")
+				}
+				k.Shutdown()
+				if !a.Terminated() {
+					t.Error("Shutdown left the handing thread live")
+				}
+			}()
+			k.Run(sim.RunForever)
+		}},
+		{"a method panic on a thread's coroutine keeps its raw value", func(t *testing.T) {
+			defer leakcheck.Check(t)()
+			k := sim.NewKernel("k")
+			defer k.Shutdown()
+			boom := errors.New("boom")
+			ev := sim.NewEvent(k, "ev")
+			k.MethodNoInit("m", func(*sim.Process) { panic(boom) }, ev)
+			a := k.Thread("a", func(p *sim.Process) {
+				p.Wait(sim.NS)
+				ev.NotifyDelta()
+				p.Wait(sim.NS) // the loop runs m from a's park
+			})
+			defer func() {
+				if r := recover(); r != boom {
+					t.Errorf("recovered %#v, want the method's own value", r)
+				}
+				if a.Terminated() {
+					t.Error("the thread whose coroutine ran the method was terminated")
+				}
+			}()
+			k.Run(sim.RunForever)
+		}},
+		{"runtime.Goexit in a handed-off thread ends the Run caller", func(t *testing.T) {
+			defer leakcheck.Check(t)()
+			k := sim.NewKernel("k")
+			_, b := handOffPair(k, runtime.Goexit)
+			done := make(chan struct{})
+			returned := false
+			go func() {
+				defer close(done)
+				k.Run(sim.RunForever)
+				returned = true
+			}()
+			select {
+			case <-done:
+			case <-time.After(10 * time.Second):
+				t.Fatal("Run caller neither returned nor exited")
+			}
+			k.Shutdown()
+			if returned || !b.Terminated() {
+				t.Errorf("Run returned = %v, terminated = %v; want false, true", returned, b.Terminated())
+			}
+		}},
+		{"Shutdown after an interrupt mid-hand-off cleans up each thread once", func(t *testing.T) {
+			defer leakcheck.Check(t)()
+			k := sim.NewKernel("k")
+			ping := sim.NewEvent(k, "ping")
+			pong := sim.NewEvent(k, "pong")
+			cleanups := map[string]int{}
+			k.Thread("a", func(p *sim.Process) {
+				defer func() { cleanups["a"]++ }()
+				for {
+					ping.NotifyDelta()
+					p.WaitEvent(pong)
+				}
+			})
+			k.Thread("b", func(p *sim.Process) {
+				defer func() { cleanups["b"]++ }()
+				for i := 0; ; i++ {
+					p.WaitEvent(ping) // entered by a's park from round 1 on
+					if i == 100 {
+						k.Interrupt()
+					}
+					pong.NotifyDelta()
+				}
+			})
+			k.Run(sim.RunForever)
+			if !k.Interrupted() {
+				t.Fatal("the interrupt did not stop the run")
+			}
+			k.Shutdown()
+			if cleanups["a"] != 1 || cleanups["b"] != 1 {
+				t.Errorf("deferred cleanups ran %v, want once per thread", cleanups)
+			}
+		}},
 	}
 	for _, c := range cases {
 		t.Run(c.name, c.run)
 	}
+}
+
+// handOffPair registers threads a and b, both woken at 1 ns with a first.
+// a parks again at once, so it enters b from its own coroutine, and b
+// then calls quit.
+func handOffPair(k *sim.Kernel, quit func()) (a, b *sim.Process) {
+	a = k.Thread("a", func(p *sim.Process) {
+		p.Wait(sim.NS)
+		p.Wait(sim.SEC)
+	})
+	b = k.Thread("b", func(p *sim.Process) {
+		p.Wait(sim.NS)
+		quit()
+	})
+	return a, b
 }

@@ -7,24 +7,29 @@ import "sync/atomic"
 // coordinator's stall watchdog, a service shutting down) must be able to
 // stop a running kernel from another goroutine without corrupting it. The
 // kernel polls an atomic flag at safe points of the evaluate/delta/timed
-// loop — between process dispatches, never inside one — so an interrupted
+// loop — on Step entry, then every pollEvery loop iterations, always
+// between process dispatches and never inside one — so an interrupted
 // Step returns with all kernel and model state consistent: the run can be
 // resumed with another Step (after ClearInterrupt) or discarded with
 // Shutdown, and no goroutine is leaked either way.
 //
 // The same poll points publish two beacons external watchdogs sample:
 // Beat, a counter bumped at every poll (is the kernel dispatching at
-// all?), and Beacon, the kernel's simulated time as of the last poll
-// (is the simulation going anywhere?). A stall watchdog keys on Beacon:
-// frozen simulated time over a whole wall-clock window means the run is
-// deadlocked, livelocked in delta cycles at one date, or stuck in a
-// non-cooperative blocking call — Beat then tells the diagnostic which.
+// all?), and Beacon, the kernel's simulated time as of the last poll or
+// Step return (is the simulation going anywhere?). A stall watchdog keys
+// on Beacon: frozen simulated time over a whole wall-clock window means
+// the run is deadlocked, livelocked in delta cycles at one date, or stuck
+// in a non-cooperative blocking call — Beat then tells the diagnostic
+// which.
 
-// pollEvery is the dispatch countdown between interrupt polls inside the
-// evaluate drain. Poll points cost one atomic add and one atomic load;
-// spacing them keeps the overhead invisible next to the dispatch itself
-// (a coroutine switch, or a method call) while bounding interrupt
-// latency to a few dozen dispatches.
+// pollEvery is the countdown between interrupt polls: every loop
+// iteration — one dispatch or one phase boundary — counts one. A poll
+// costs one atomic add, one atomic store and one atomic load, plus five
+// shared atomics when metrics are on; spacing polls keeps that invisible
+// next to the dispatches themselves (a coroutine switch, or a method
+// call) while bounding interrupt latency to pollEvery iterations, also in
+// loops that dispatch nothing (delta or timed notifications without
+// subscribers).
 const pollEvery = 64
 
 // interruptState is the cross-goroutine half of the kernel, kept apart
@@ -34,11 +39,12 @@ type interruptState struct {
 	intr atomic.Bool
 	// beat is the dispatch-liveness beacon: bumped at every poll point.
 	beat atomic.Uint64
-	// now is the published simulated time: stored at every poll point,
-	// read by stall watchdogs (k.now itself is single-threaded state).
+	// now is the published simulated time: stored at every poll point
+	// and at Step return, read by stall watchdogs (k.now itself is
+	// single-threaded state).
 	now atomic.Int64
-	// countdown spaces the polls inside the evaluate drain. Only the
-	// kernel goroutine touches it.
+	// countdown spaces the polls by loop iterations. Only whoever runs
+	// the loop touches it.
 	countdown int
 	// hook, when non-nil, is the step-budget hook: polled at safe
 	// points; returning true latches an interrupt. Only the kernel's
@@ -70,9 +76,10 @@ func (k *Kernel) ClearInterrupt() { k.is.intr.Store(false) }
 func (k *Kernel) Beat() uint64 { return k.is.beat.Load() }
 
 // Beacon returns the kernel's simulated time as of the last safe-point
-// poll — the value a stall watchdog samples from outside. Unlike Now it
-// may be read from any goroutine while the kernel runs; it lags Now by
-// at most one poll interval.
+// poll or Step return — the value a stall watchdog samples from outside.
+// Unlike Now it may be read from any goroutine while the kernel runs; it
+// lags Now by at most pollEvery loop iterations, and equals Now once Step
+// has returned (also when Step stopped at its limit).
 func (k *Kernel) Beacon() Time { return Time(k.is.now.Load()) }
 
 // SetInterruptHook installs fn as the kernel's step-budget hook: it is
@@ -90,8 +97,8 @@ func (k *Kernel) SetInterruptHook(fn func() bool) {
 }
 
 // poll is the safe-point check: bump the beacons, consult the hook, and
-// report whether the kernel should stop. Called by Step between
-// dispatches and at each phase boundary.
+// report whether the kernel should stop. Called on Step entry and by
+// tick.
 func (k *Kernel) poll() bool {
 	k.is.beat.Add(1)
 	k.is.now.Store(int64(k.now))
@@ -104,9 +111,9 @@ func (k *Kernel) poll() bool {
 	return k.is.intr.Load()
 }
 
-// pollDispatch is the countdown-spaced poll used inside the evaluate
-// drain, where dispatches are most frequent.
-func (k *Kernel) pollDispatch() bool {
+// tick counts one loop iteration (a dispatch or a phase boundary) and
+// polls every pollEvery iterations; it reports whether Step must return.
+func (k *Kernel) tick() bool {
 	k.is.countdown--
 	if k.is.countdown > 0 {
 		return false

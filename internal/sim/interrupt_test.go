@@ -120,6 +120,16 @@ func TestBeaconPublishesTime(t *testing.T) {
 		t.Error("Beat stayed zero across a full run")
 	}
 
+	// A Step that stops at its limit publishes the date it stopped at,
+	// not the date of its last poll.
+	l := NewKernel("limit")
+	l.Thread("p", func(p *Process) { p.Wait(100 * NS) })
+	l.Step(50 * NS)
+	if l.Now() != 50*NS || l.Beacon() != l.Now() {
+		t.Errorf("after Step(50ns): Now = %v, Beacon = %v; want both 50ns", l.Now(), l.Beacon())
+	}
+	l.Shutdown()
+
 	w := wedgedKernel()
 	defer w.Shutdown()
 	w.SetInterruptHook(func() bool { return w.Beat() > 1000 })
@@ -129,5 +139,125 @@ func TestBeaconPublishesTime(t *testing.T) {
 	}
 	if w.Beat() <= 1000 {
 		t.Errorf("livelocked Beat = %d, want climbing past the budget", w.Beat())
+	}
+}
+
+// iterations counts the loop iterations a kernel has run so far: one per
+// dispatch and one per phase boundary that opened an evaluate phase,
+// promoted delta notifications or advanced time.
+func iterations(k *Kernel) uint64 {
+	s := k.Stats()
+	return s.ContextSwitches + s.MethodActivations + s.DeltaCycles + s.TimedSteps + k.deltaPromos
+}
+
+// TestInterruptLatencyBound: an interrupt latched from inside a process
+// body stops Step within pollEvery loop iterations, whatever the loop is
+// busy with. Each model latches in pollEvery consecutive iterations of its
+// loop, so some latch lands right after a poll. Every model but the
+// livelock is finite, so a countdown that stops ticking shows as a count
+// past the bound rather than a hang.
+func TestInterruptLatencyBound(t *testing.T) {
+	const n = 10000 // iterations of each model's loop
+	cases := []struct {
+		name  string
+		build func(at int, latch func()) *Kernel
+	}{
+		{"delta-only livelock", func(at int, latch func()) *Kernel {
+			k := wedgedKernel()
+			k.Thread("latch", func(p *Process) {
+				for i := 0; i < at; i++ {
+					p.Wait(0)
+				}
+				latch()
+			})
+			return k
+		}},
+		{"timed-only thread loop", func(at int, latch func()) *Kernel {
+			k := NewKernel("latency")
+			k.Thread("p", func(p *Process) {
+				for i := 0; i < n; i++ {
+					if i == at {
+						latch()
+					}
+					p.Wait(NS)
+				}
+			})
+			return k
+		}},
+		{"method-only NextTrigger loop", func(at int, latch func()) *Kernel {
+			k := NewKernel("latency")
+			i := 0
+			k.Method("m", func(p *Process) {
+				if i++; i == at {
+					latch()
+				}
+				if i < n {
+					p.NextTrigger(0)
+				}
+			})
+			return k
+		}},
+		{"two-thread hand-off ping-pong", func(at int, latch func()) *Kernel {
+			k := NewKernel("latency")
+			ping := NewEvent(k, "ping")
+			pong := NewEvent(k, "pong")
+			k.Thread("a", func(p *Process) {
+				for i := 0; i < n; i++ {
+					ping.NotifyDelta()
+					p.WaitEvent(pong)
+				}
+			})
+			k.Thread("b", func(p *Process) {
+				for i := 0; ; i++ {
+					p.WaitEvent(ping)
+					if i == at {
+						latch()
+					}
+					pong.NotifyDelta()
+				}
+			})
+			return k
+		}},
+		{"delta events without subscribers", func(at int, latch func()) *Kernel {
+			k := NewKernel("latency")
+			// Each firing re-notifies the event a delta later: a run
+			// of delta phases that dispatch nothing.
+			ev := NewEvent(k, "storm")
+			fired := 0
+			ev.onFire = func() {
+				if fired++; fired < n {
+					ev.NotifyDelta()
+				}
+			}
+			k.Thread("p", func(p *Process) {
+				for i := 0; i < at; i++ {
+					p.Wait(0)
+				}
+				latch()
+				ev.NotifyDelta()
+			})
+			return k
+		}},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			for at := 300; at < 300+pollEvery; at++ {
+				var k *Kernel
+				var mark uint64
+				latched := false
+				k = c.build(at, func() {
+					mark, latched = iterations(k), true
+					k.Interrupt()
+				})
+				k.Step(RunForever)
+				k.Shutdown()
+				if !latched {
+					t.Fatalf("latch at %d: the model never latched the interrupt", at)
+				}
+				if got := iterations(k) - mark; got > pollEvery {
+					t.Fatalf("latch at %d: Step returned %d loop iterations after the interrupt, want at most %d", at, got, pollEvery)
+				}
+			}
+		})
 	}
 }

@@ -10,9 +10,11 @@ import (
 // simulation speed is dominated by the number of context switches, which the
 // Smart FIFO removes.
 type Stats struct {
-	// ContextSwitches counts thread process dispatches. Each dispatch is a
-	// runtime coroutine switch into the thread and back (iter.Pull), the
-	// Go analogue of a SystemC thread context switch.
+	// ContextSwitches counts thread process dispatches, the Go analogue
+	// of a SystemC thread context switch and the paper's cost unit. A
+	// dispatch costs at most one runtime coroutine switch into the thread
+	// and one back (iter.Pull), and none when the thread is next to run
+	// after its own park (see Step); it is counted either way.
 	ContextSwitches uint64
 	// MethodActivations counts run-to-completion method dispatches. These
 	// are plain function calls: the cheap alternative the paper uses for
@@ -31,9 +33,9 @@ type Stats struct {
 // Kernel is a discrete-event simulator instance. Create one with NewKernel,
 // register processes with Thread and Method, then call Run.
 //
-// All kernel and model state is owned by the single running process (or the
-// caller of Run, between dispatches); there is no concurrent access and
-// hence no locking. Threads are runtime coroutines of whichever goroutine
+// All kernel and model state is owned by the single running process (or,
+// between dispatches, by whoever runs the loop: the caller of Run or a
+// parking thread); there is no concurrent access and hence no locking. Threads are runtime coroutines of whichever goroutine
 // calls Run or Step, which may differ from call to call but must not hold
 // runtime.LockOSThread. Distinct kernels share nothing and may run
 // concurrently: a partitioned simulation drives one kernel per shard
@@ -76,9 +78,26 @@ type Kernel struct {
 	current *Process
 	running bool
 
+	// Loop state. The evaluate/delta/timed loop (run) resumes from these
+	// fields, so the Step caller and the coroutine of any parking thread
+	// can drive it in turn. limit is the Step limit; evalOpen says an
+	// evaluate phase is draining the runnable queue; stopping says Step
+	// is returning, so every thread coroutine in the hand-off chain must
+	// yield; did is Step's result; panicVal is a panic caught on a thread
+	// coroutine, re-raised on the Step caller.
+	limit    Time
+	evalOpen bool
+	stopping bool
+	did      bool
+	panicVal any
+
+	// switches counts runtime coroutine switches (each next call and its
+	// return), for tests that pin the hand-off. Not part of Stats.
+	switches uint64
+
 	// is holds the cross-goroutine interrupt/beacon state (see
 	// interrupt.go); everything above is owned by the running process or
-	// the Run caller.
+	// whoever runs the loop.
 	is interruptState
 
 	stats Stats
@@ -172,34 +191,155 @@ func (k *Kernel) scheduleWake(p *Process, d Time) {
 	k.scheduleEntry(&p.wake, k.now+d)
 }
 
-// dispatch runs one process for one activation.
-func (k *Kernel) dispatch(p *Process) {
-	p.queued = false
-	if p.terminated {
-		return
-	}
-	k.current = p
-	p.dispatches++
-	if p.isMethod {
-		k.stats.MethodActivations++
-		p.dynArmed = false
-		p.trigGen++
-		p.offset = 0
-		p.body(p)
-	} else {
-		k.stats.ContextSwitches++
-		if p.next == nil {
-			p.next, p.stop = iter.Pull(p.threadMain)
-		}
-		p.next()
-		if p.panicVal != nil {
-			v := p.panicVal
-			p.panicVal = nil
-			k.current = nil
-			panic(v)
-		}
-	}
+// run drives the evaluate/delta/timed loop on behalf of owner, the thread
+// whose coroutine it runs on (nil on the Step caller). Method bodies run
+// inline; another thread is entered with next from this coroutine, and its
+// own park continues the loop there. run returns true when owner itself is
+// dispatched, and false when owner must yield: Step is returning, or the
+// next thread is handing off further up the chain (its coroutine is
+// blocked in a descendant's next), so only that ancestor may resume.
+//
+// A panic out of the loop (a method body's, or a hook's) belongs to the
+// Step caller, not to owner: it is caught and handed to Step with its raw
+// value, and owner yields. A panic in a thread entered from here is handed
+// to Step the same way, as that thread's. Every iteration — one dispatch
+// or one phase boundary — counts down to the next interrupt poll.
+func (k *Kernel) run(owner *Process) (dispatched bool) {
 	k.current = nil
+	defer func() {
+		if r := recover(); r != nil {
+			k.panicVal = r
+			k.stopping = true
+			dispatched = false
+		}
+	}()
+	for !k.stopping {
+		if k.evalOpen && k.head < len(k.runnable) {
+			p := k.runnable[k.head]
+			if p.handing {
+				return false
+			}
+			if k.tick() {
+				k.stopping = true
+				break
+			}
+			k.runnablePop()
+			p.queued = false
+			if p.terminated {
+				continue
+			}
+			k.current = p
+			p.dispatches++
+			if p.isMethod {
+				k.stats.MethodActivations++
+				p.dynArmed = false
+				p.trigGen++
+				p.offset = 0
+				p.body(p)
+				k.current = nil
+				continue
+			}
+			k.stats.ContextSwitches++
+			if p == owner {
+				return true
+			}
+			if p.next == nil {
+				p.next, p.stop = iter.Pull(p.threadMain)
+			}
+			k.switches += 2
+			if owner != nil {
+				owner.handing = true
+				p.next()
+				owner.handing = false
+			} else {
+				p.next()
+			}
+			k.current = nil
+			if p.panicVal != nil {
+				k.panicVal = p.panicVal
+				p.panicVal = nil
+				k.stopping = true
+			}
+			continue
+		}
+		k.evalOpen = false
+		if k.tick() || !k.boundary() {
+			k.stopping = true
+		}
+	}
+	return false
+}
+
+// boundary runs one phase boundary: it opens an evaluate phase, promotes
+// the delta notifications, or advances time to the earliest timed
+// notification. It reports false when Step must return: no activity is
+// left, or the next one lies beyond the limit (Now then moves to it).
+func (k *Kernel) boundary() bool {
+	// Evaluate phase: drain the runnable queue. Immediate notifications
+	// extend the queue within the same phase.
+	if k.head < len(k.runnable) {
+		k.stats.DeltaCycles++
+		k.did = true
+		k.evalOpen = true
+		return true
+	}
+	// Delta notification phase.
+	if len(k.deltaProcs) > 0 || len(k.deltaEvents) > 0 {
+		k.deltaPromos++
+		procs, evs := k.deltaProcs, k.deltaEvents
+		k.deltaProcs = k.spareDeltaProcs[:0]
+		k.deltaEvents = k.spareDeltaEvents[:0]
+		for _, r := range procs {
+			if r.valid() {
+				k.runnableAdd(r.p)
+			}
+		}
+		for _, e := range evs {
+			if e.deltaPending {
+				e.deltaPending = false
+				k.did = true
+				e.fire()
+			}
+		}
+		k.spareDeltaProcs = procs[:0]
+		k.spareDeltaEvents = evs[:0]
+		return true
+	}
+	// Timed notification phase: advance to the earliest date.
+	te := k.timed.peek()
+	if te == nil {
+		return false
+	}
+	if k.limit >= 0 && te.at > k.limit {
+		if k.now < k.limit {
+			k.now = k.limit
+		}
+		return false
+	}
+	k.now = te.at
+	k.stats.TimedSteps++
+	k.did = true
+	for {
+		te := k.timed.peek()
+		if te == nil || te.at != k.now {
+			break
+		}
+		k.timed.pop()
+		if te.proc != nil {
+			if te.proc.isMethod {
+				if (procRef{p: te.proc, gen: te.methodGen}).valid() {
+					k.runnableAdd(te.proc)
+				}
+			} else if !te.evWait || te.waitGen == te.proc.waitSeq {
+				k.runnableAdd(te.proc)
+			}
+		} else {
+			ev := te.ev
+			ev.timedPending = false
+			ev.fire()
+		}
+	}
+	return true
 }
 
 // RunForever is the sentinel limit for Run: simulate until no activity
@@ -240,100 +380,39 @@ func (k *Kernel) NextEventAt() (at Time, ok bool) {
 // (internal/par) calls Step with its shard's conservative horizon as the
 // limit whenever an event lies inside it.
 //
-// Step polls the interrupt flag (see Interrupt) at safe points — phase
-// boundaries and every few dozen dispatches — and returns early when it
-// is latched, leaving the kernel consistent and resumable.
+// The loop hands off directly between threads: a parking thread runs it
+// on its own coroutine and switches straight into the next thread, or
+// carries on at no switch when it is next itself. When Step returns,
+// every parked thread is blocked in its own park.
+//
+// Step polls the interrupt flag (see Interrupt) on entry and then every
+// pollEvery loop iterations, and returns early when it is latched,
+// leaving the kernel consistent and resumable.
 func (k *Kernel) Step(limit Time) bool {
 	if k.running {
 		panic("sim: kernel already running (re-entrant Run or Step)")
 	}
 	k.running = true
+	k.limit, k.evalOpen, k.stopping, k.did = limit, false, false, false
 	defer func() {
 		k.running = false
-		// Flush the counter deltas accumulated since the last poll, so
-		// a returned Step leaves the shared metrics exact.
+		// Publish the date and flush the counter deltas accumulated
+		// since the last poll, so a returned Step leaves the beacon
+		// and the shared metrics exact.
+		k.is.now.Store(int64(k.now))
 		if k.msink != nil {
 			k.publishMetrics()
 		}
 	}()
-	did := false
-	for {
-		if k.poll() {
-			return did
-		}
-		// Evaluate phase: drain the runnable queue. Immediate
-		// notifications extend the queue within the same phase.
-		if k.head < len(k.runnable) {
-			k.stats.DeltaCycles++
-			did = true
-			for {
-				p := k.runnablePop()
-				if p == nil {
-					break
-				}
-				k.dispatch(p)
-				if k.pollDispatch() {
-					return did
-				}
-			}
-		}
-		// Delta notification phase.
-		if len(k.deltaProcs) > 0 || len(k.deltaEvents) > 0 {
-			k.deltaPromos++
-			procs, evs := k.deltaProcs, k.deltaEvents
-			k.deltaProcs = k.spareDeltaProcs[:0]
-			k.deltaEvents = k.spareDeltaEvents[:0]
-			for _, r := range procs {
-				if r.valid() {
-					k.runnableAdd(r.p)
-				}
-			}
-			for _, e := range evs {
-				if e.deltaPending {
-					e.deltaPending = false
-					did = true
-					e.fire()
-				}
-			}
-			k.spareDeltaProcs = procs[:0]
-			k.spareDeltaEvents = evs[:0]
-			continue
-		}
-		// Timed notification phase: advance to the earliest date.
-		te := k.timed.peek()
-		if te == nil {
-			return did
-		}
-		if limit >= 0 && te.at > limit {
-			if k.now < limit {
-				k.now = limit
-			}
-			return did
-		}
-		k.now = te.at
-		k.stats.TimedSteps++
-		did = true
-		for {
-			te := k.timed.peek()
-			if te == nil || te.at != k.now {
-				break
-			}
-			k.timed.pop()
-			if te.proc != nil {
-				if te.proc.isMethod {
-					if (procRef{p: te.proc, gen: te.methodGen}).valid() {
-						k.runnableAdd(te.proc)
-					}
-				} else if !te.evWait || te.waitGen == te.proc.waitSeq {
-					k.runnableAdd(te.proc)
-				}
-			} else {
-				ev := te.ev
-				ev.timedPending = false
-				ev.fire()
-			}
-		}
+	if k.poll() {
+		return false
 	}
+	k.run(nil)
+	if v := k.panicVal; v != nil {
+		k.panicVal = nil
+		panic(v)
+	}
+	return k.did
 }
 
 // Blocked returns the names of live thread processes that are neither

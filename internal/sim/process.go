@@ -22,13 +22,18 @@ type Process struct {
 	body     func(*Process)
 
 	// Thread coroutine: an iter.Pull over threadMain, created at the
-	// thread's first dispatch. The scheduler calls next to run the body
-	// up to its next park and stop to kill it; the body calls yield to
-	// park, and a false return tells it to unwind.
+	// thread's first dispatch. The loop calls next to run the body up to
+	// its next park and stop to kill it; a parked body calls yield to
+	// hand control back to whoever entered it, and a false return tells
+	// it to unwind.
 	next     func() (struct{}, bool)
 	stop     func()
 	yield    func(struct{}) bool
 	panicVal any
+	// handing says the thread's coroutine runs the loop and is blocked
+	// in another thread's next: it can only be resumed by that call
+	// returning, never by a next of its own.
+	handing bool
 
 	terminated bool
 	queued     bool // in the runnable queue
@@ -77,7 +82,8 @@ func (k *Kernel) Thread(name string, fn func(p *Process)) *Process {
 }
 
 // Method registers a method process with an optional static sensitivity
-// list. Method bodies run to completion on the scheduler's stack: no Wait,
+// list. Method bodies run to completion on the stack of whoever runs the
+// kernel loop (the Step caller, or a parking thread's coroutine): no Wait,
 // WaitEvent or Sync. By default the method is activated once at time zero
 // (like SystemC without dont_initialize); use MethodNoInit to suppress
 // that.
@@ -117,7 +123,9 @@ func (k *Kernel) newProcess(name string, fn func(p *Process), isMethod bool) *Pr
 }
 
 // threadMain is the thread's coroutine body (an iter.Seq). A body's
-// runtime.Goexit is carried by iter.Pull to the caller of next or stop.
+// runtime.Goexit is carried by iter.Pull to the caller of next or stop,
+// and on up the hand-off chain: every thread whose coroutine was handing
+// off ends with it, and so does the Step caller.
 func (p *Process) threadMain(yield func(struct{}) bool) {
 	p.yield = yield
 	defer func() {
@@ -153,13 +161,17 @@ func (p *Process) Terminated() bool { return p.terminated }
 // same under any partitioning or scheduler.
 func (p *Process) Dispatches() uint64 { return p.dispatches }
 
-// park hands control back to the scheduler and blocks until redispatched.
-// Waking invalidates the wait round: entries this round registered on
-// events that did not fire become stale. yield returns false once
-// Shutdown has stopped the coroutine: the kill panic then unwinds the
-// body, running its deferred cleanups.
+// park blocks the thread until it is redispatched. The thread runs the
+// kernel loop itself (Kernel.run), entering other threads from its own
+// coroutine, and returns as soon as it is dispatched itself. When Step
+// must return, or the next thread is still handing off further up, it
+// yields to whoever entered it instead; the next call that resumes it is
+// its dispatch. Waking invalidates the wait round: entries this
+// round registered on events that did not fire become stale. yield
+// returns false once Shutdown has stopped the coroutine: the kill panic
+// then unwinds the body, running its deferred cleanups.
 func (p *Process) park() {
-	if !p.yield(struct{}{}) {
+	if !p.k.run(p) && !p.yield(struct{}{}) {
 		panic(killPanic{})
 	}
 	p.waitSeq++
