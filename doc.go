@@ -36,18 +36,16 @@
 // A thread process is a runtime coroutine (iter.Pull over the body,
 // created at first dispatch): a context switch is a direct stack-to-stack
 // hand-over on one thread, not a trip through the Go scheduler, so it
-// costs the same at any GOMAXPROCS (switch rung 517 -> 188 ns against the
-// two-channel goroutine handoff it replaced; the all-blocking Fig. 5
-// point 304 -> 105 ms). Threads hand off directly: a parking thread runs
-// the kernel loop on its own coroutine and enters the next thread from
-// there, so a dispatch costs at most one switch in and one back, and none
-// when the thread is next after its own park. Dispatch order, dates and
-// sim.Stats are unchanged; coroutine switches on the all-blocking point
-// went 933,306 -> 533,302 for 466,653 dispatches, and its run time
-// 95.7 -> 76.7 ms. A kernel must not be driven from a goroutine that
-// holds runtime.LockOSThread; successive Step calls may come from
-// different goroutines; a runtime.Goexit in a thread body ends the Run
-// caller, and every thread whose coroutine was handing off ends with it.
+// costs the same at any GOMAXPROCS. Threads hand off directly: a parking
+// thread runs the kernel loop on its own coroutine and enters the next
+// thread from there, so a dispatch costs at most one switch in and one
+// back, and none when the thread is next after its own park. The hand-off
+// does not change the dispatch order, so dates and sim.Stats counters do
+// not depend on which coroutine runs the loop. A kernel must not be
+// driven from a goroutine that holds runtime.LockOSThread; successive
+// Step calls may come from different goroutines; a runtime.Goexit in a
+// thread body ends the Run caller, and every thread whose coroutine was
+// handing off ends with it.
 //
 // # Bulk transfers (burst contract)
 //
