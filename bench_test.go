@@ -18,7 +18,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/fifo"
 	"repro/internal/noc"
-	"repro/internal/peq"
 	"repro/internal/pipeline"
 	"repro/internal/sim"
 	"repro/internal/soc"
@@ -422,33 +421,6 @@ func BenchmarkNoCStream(b *testing.B) {
 	k.Thread("consumer", func(p *sim.Process) {
 		for i := 0; i < n; i++ {
 			dst.Read()
-		}
-	})
-	b.ResetTimer()
-	k.Run(sim.RunForever)
-	k.Shutdown()
-}
-
-// BenchmarkPEQ measures the TLM payload-event-queue baseline the Smart
-// FIFO generalizes.
-func BenchmarkPEQ(b *testing.B) {
-	k := sim.NewKernel("bench")
-	q := peq.New[int](k, "q")
-	n := b.N
-	k.Thread("producer", func(p *sim.Process) {
-		for i := 0; i < n; i++ {
-			p.Inc(sim.NS)
-			q.Notify(i, 0)
-		}
-	})
-	k.Thread("consumer", func(p *sim.Process) {
-		for got := 0; got < n; {
-			_, ok := q.Get()
-			if !ok {
-				p.WaitEvent(q.Event())
-				continue
-			}
-			got++
 		}
 	})
 	b.ResetTimer()

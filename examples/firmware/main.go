@@ -8,6 +8,8 @@ package main
 
 import (
 	"fmt"
+	"io"
+	"os"
 	"time"
 
 	"repro/internal/accel"
@@ -52,7 +54,9 @@ nomax:
 	halt
 `
 
-func run(smart bool) (wall time.Duration, switches uint64, c *cpu.CPU, jobDates []sim.Time, maxLevel uint32) {
+// simulate builds the pipeline with sync-on-access (smart false) or
+// Smart FIFOs and runs the firmware to its halt.
+func simulate(smart bool) (wall time.Duration, switches uint64, c *cpu.CPU, jobDates []sim.Time, maxLevel uint32) {
 	k := sim.NewKernel("firmware")
 	b := bus.NewBus(k, "bus", sim.NS)
 	irq := bus.NewIRQController(k, "irq")
@@ -89,16 +93,19 @@ func run(smart bool) (wall time.Duration, switches uint64, c *cpu.CPU, jobDates 
 	return wall, k.Stats().ContextSwitches, c, sink.JobDates(), c.Reg(9)
 }
 
-func main() {
-	fmt.Println("ISS-controlled pipeline: generator → scale → sink, 4 jobs x 256 words")
-	fmt.Println()
-	syncWall, syncSw, syncCPU, syncDates, syncLvl := run(false)
-	smartWall, smartSw, smartCPU, smartDates, smartLvl := run(true)
+func main() { run(os.Stdout) }
 
-	fmt.Printf("sync FIFOs : wall %10v  ctx switches %7d  instructions %6d\n", syncWall, syncSw, syncCPU.Retired())
-	fmt.Printf("smart FIFOs: wall %10v  ctx switches %7d  instructions %6d\n", smartWall, smartSw, smartCPU.Retired())
-	fmt.Printf("\nfirmware saw jobs done: sync r11=%d, smart r11=%d\n", syncCPU.Reg(11), smartCPU.Reg(11))
-	fmt.Printf("max sink-input level observed by firmware: sync %d, smart %d\n", syncLvl, smartLvl)
-	fmt.Printf("sink job completion dates identical: %v\n", fmt.Sprint(syncDates) == fmt.Sprint(smartDates))
-	fmt.Printf("  dates: %v\n", smartDates)
+// run runs the firmware on both builds and prints the comparison.
+func run(w io.Writer) {
+	fmt.Fprintln(w, "ISS-controlled pipeline: generator → scale → sink, 4 jobs x 256 words")
+	fmt.Fprintln(w)
+	syncWall, syncSw, syncCPU, syncDates, syncLvl := simulate(false)
+	smartWall, smartSw, smartCPU, smartDates, smartLvl := simulate(true)
+
+	fmt.Fprintf(w, "sync FIFOs : wall %10v  ctx switches %7d  instructions %6d\n", syncWall, syncSw, syncCPU.Retired())
+	fmt.Fprintf(w, "smart FIFOs: wall %10v  ctx switches %7d  instructions %6d\n", smartWall, smartSw, smartCPU.Retired())
+	fmt.Fprintf(w, "\nfirmware saw jobs done: sync r11=%d, smart r11=%d\n", syncCPU.Reg(11), smartCPU.Reg(11))
+	fmt.Fprintf(w, "max sink-input level observed by firmware: sync %d, smart %d\n", syncLvl, smartLvl)
+	fmt.Fprintf(w, "sink job completion dates identical: %v\n", fmt.Sprint(syncDates) == fmt.Sprint(smartDates))
+	fmt.Fprintf(w, "  dates: %v\n", smartDates)
 }

@@ -10,6 +10,8 @@ package main
 
 import (
 	"fmt"
+	"io"
+	"os"
 
 	"repro/internal/core"
 	"repro/internal/fifo"
@@ -78,10 +80,13 @@ func model(smart bool) []string {
 	return samples
 }
 
-func main() {
+func main() { run(os.Stdout) }
+
+// run runs both builds and prints the samples side by side with a verdict.
+func run(w io.Writer) {
 	ref := model(false)
 	smart := model(true)
-	fmt.Println("controller samples (regular FIFO, no decoupling | Smart FIFO, decoupled):")
+	fmt.Fprintln(w, "controller samples (regular FIFO, no decoupling | Smart FIFO, decoupled):")
 	same := true
 	for i := range ref {
 		marker := "  ==  "
@@ -89,14 +94,14 @@ func main() {
 			marker = "  !!  "
 			same = false
 		}
-		fmt.Printf("  %s%s%s\n", ref[i], marker, smart[i])
+		fmt.Fprintf(w, "  %s%s%s\n", ref[i], marker, smart[i])
 	}
-	fmt.Println()
+	fmt.Fprintln(w)
 	if same {
-		fmt.Println("every monitored level and every tuning decision is identical:")
-		fmt.Println("the Smart FIFO's get_size rules reconstruct the real FIFO state")
-		fmt.Println("at the controller's date, even with decoupled producer/consumer.")
+		fmt.Fprintln(w, "every monitored level and every tuning decision is identical:")
+		fmt.Fprintln(w, "the Smart FIFO's get_size rules reconstruct the real FIFO state")
+		fmt.Fprintln(w, "at the controller's date, even with decoupled producer/consumer.")
 	} else {
-		fmt.Println("MISMATCH: monitor semantics diverged (this should not happen).")
+		fmt.Fprintln(w, "MISMATCH: monitor semantics diverged (this should not happen).")
 	}
 }

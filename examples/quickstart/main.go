@@ -12,6 +12,8 @@ package main
 
 import (
 	"fmt"
+	"io"
+	"os"
 
 	"repro/internal/core"
 	"repro/internal/fifo"
@@ -19,9 +21,9 @@ import (
 	"repro/internal/trace"
 )
 
-// run builds the Fig. 1 model. mkFIFO picks the channel; decoupled picks
-// inc() vs wait().
-func run(title string, decoupled bool, smart bool) *trace.Recorder {
+// model builds and runs the Fig. 1 model and prints its dated trace to w.
+// smart picks the channel; decoupled picks inc() vs wait().
+func model(w io.Writer, title string, decoupled bool, smart bool) *trace.Recorder {
 	k := sim.NewKernel(title)
 	rec := trace.NewRecorder()
 
@@ -57,27 +59,30 @@ func run(title string, decoupled bool, smart bool) *trace.Recorder {
 	})
 
 	k.Run(sim.RunForever)
-	fmt.Printf("--- %s (%d context switches) ---\n", title, k.Stats().ContextSwitches)
+	fmt.Fprintf(w, "--- %s (%d context switches) ---\n", title, k.Stats().ContextSwitches)
 	for _, e := range rec.Entries() {
-		fmt.Printf("  %v\n", e)
+		fmt.Fprintf(w, "  %v\n", e)
 	}
 	return rec
 }
 
-func main() {
-	ref := run("reference: regular FIFO + wait (Fig. 2)", false, false)
-	naive := run("naive: regular FIFO + inc, no sync (Fig. 3)", true, false)
-	smart := run("Smart FIFO + inc (paper §III)", true, true)
+func main() { run(os.Stdout) }
 
-	fmt.Println()
+// run runs the model the three ways and prints the traces and verdicts.
+func run(w io.Writer) {
+	ref := model(w, "reference: regular FIFO + wait (Fig. 2)", false, false)
+	naive := model(w, "naive: regular FIFO + inc, no sync (Fig. 3)", true, false)
+	smart := model(w, "Smart FIFO + inc (paper §III)", true, true)
+
+	fmt.Fprintln(w)
 	if d := trace.Diff(ref, naive); d != "" {
-		fmt.Println("naive decoupling vs reference: TIMING BROKEN, as the paper warns:")
-		fmt.Println(" ", d)
+		fmt.Fprintln(w, "naive decoupling vs reference: TIMING BROKEN, as the paper warns:")
+		fmt.Fprintln(w, " ", d)
 	}
 	if d := trace.Diff(ref, smart); d != "" {
-		fmt.Println("Smart FIFO vs reference: UNEXPECTED DIFFERENCE:", d)
+		fmt.Fprintln(w, "Smart FIFO vs reference: UNEXPECTED DIFFERENCE:", d)
 	} else {
-		fmt.Println("Smart FIFO vs reference: traces identical after date reordering —")
-		fmt.Println("same behaviour, same timing, fewer context switches.")
+		fmt.Fprintln(w, "Smart FIFO vs reference: traces identical after date reordering —")
+		fmt.Fprintln(w, "same behaviour, same timing, fewer context switches.")
 	}
 }

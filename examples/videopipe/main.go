@@ -11,6 +11,8 @@ package main
 
 import (
 	"fmt"
+	"io"
+	"os"
 	"time"
 
 	"repro/internal/kpn"
@@ -75,17 +77,20 @@ func build(net *kpn.Network) {
 	})
 }
 
-func main() {
-	fmt.Printf("video decoder KPN: %d frames x %d macroblocks x %d words\n\n",
+func main() { run(os.Stdout) }
+
+// run verifies the network's two builds and prints their speed.
+func run(w io.Writer) {
+	fmt.Fprintf(w, "video decoder KPN: %d frames x %d macroblocks x %d words\n\n",
 		frames, macroblocks, wordsPerMB)
 
 	if d := kpn.Verify("videopipe", build); d != "" {
-		fmt.Println("ACCURACY VIOLATION:", d)
+		fmt.Fprintln(w, "ACCURACY VIOLATION:", d)
 		return
 	}
-	fmt.Println("verify: decoupled Smart FIFO trace == non-decoupled reference trace")
+	fmt.Fprintln(w, "verify: decoupled Smart FIFO trace == non-decoupled reference trace")
 
-	run := func(decoupled bool) (time.Duration, uint64, sim.Time) {
+	simulate := func(decoupled bool) (time.Duration, uint64, sim.Time) {
 		net := kpn.New("videopipe", decoupled)
 		build(net)
 		start := time.Now()
@@ -99,9 +104,9 @@ func main() {
 		}
 		return wall, uint64(net.K.Stats().ContextSwitches), last
 	}
-	refWall, refSw, refEnd := run(false)
-	tdWall, tdSw, tdEnd := run(true)
-	fmt.Printf("\nreference: wall %10v  ctx switches %8d  last frame at %v\n", refWall, refSw, refEnd)
-	fmt.Printf("decoupled: wall %10v  ctx switches %8d  last frame at %v\n", tdWall, tdSw, tdEnd)
-	fmt.Printf("speedup: %.1fx at identical frame dates\n", float64(refWall)/float64(tdWall))
+	refWall, refSw, refEnd := simulate(false)
+	tdWall, tdSw, tdEnd := simulate(true)
+	fmt.Fprintf(w, "\nreference: wall %10v  ctx switches %8d  last frame at %v\n", refWall, refSw, refEnd)
+	fmt.Fprintf(w, "decoupled: wall %10v  ctx switches %8d  last frame at %v\n", tdWall, tdSw, tdEnd)
+	fmt.Fprintf(w, "speedup: %.1fx at identical frame dates\n", float64(refWall)/float64(tdWall))
 }

@@ -8,6 +8,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"os"
 
@@ -19,7 +20,14 @@ import (
 func main() {
 	out := flag.String("o", "fifolevels.vcd", "output VCD file")
 	flag.Parse()
+	if err := run(os.Stdout, *out); err != nil {
+		log.Fatal(err)
+	}
+}
 
+// run simulates the two-FIFO chain, writes the probed levels to the VCD
+// file vcdPath and prints a summary to w.
+func run(w io.Writer, vcdPath string) error {
 	k := sim.NewKernel("waveform")
 	f1 := core.NewSmart[int](k, "f1", 16)
 	f2 := core.NewSmart[int](k, "f2", 8)
@@ -50,22 +58,26 @@ func main() {
 		}
 	})
 
-	file, err := os.Create(*out)
+	file, err := os.Create(vcdPath)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	defer file.Close()
-	w := vcd.NewWriter(file)
+	vw := vcd.NewWriter(file)
 	const horizon = 10 * sim.US
-	vcd.ProbeFIFO(k, w, f1, "f1.level", 25*sim.NS, horizon)
-	vcd.ProbeFIFO(k, w, f2, "f2.level", 25*sim.NS, horizon)
+	vcd.ProbeFIFO(k, vw, f1, "f1.level", 25*sim.NS, horizon)
+	vcd.ProbeFIFO(k, vw, f2, "f2.level", 25*sim.NS, horizon)
 
 	k.Run(sim.RunForever)
 	k.Shutdown()
-	if err := w.Close(); err != nil {
-		log.Fatal(err)
+	if err := vw.Close(); err != nil {
+		return err
 	}
-	fmt.Printf("simulated %v, wrote %s (open with a VCD viewer)\n", k.Now(), *out)
-	fmt.Printf("f1: %d writes, %d reader blocks; f2: %d writes, %d writer blocks\n",
+	if err := file.Close(); err != nil {
+		return err
+	}
+	fmt.Fprintf(w, "simulated %v, wrote %s (open with a VCD viewer)\n", k.Now(), vcdPath)
+	fmt.Fprintf(w, "f1: %d writes, %d reader blocks; f2: %d writes, %d writer blocks\n",
 		f1.Stats().Writes, f1.Stats().ReaderBlocks, f2.Stats().Writes, f2.Stats().WriterBlocks)
+	return nil
 }

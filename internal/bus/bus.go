@@ -232,9 +232,6 @@ func NewInitiator(p *sim.Process, b *Bus, quantum sim.Time) *Initiator {
 	return &Initiator{p: p, bus: b, qk: td.NewQuantumKeeper(p, quantum)}
 }
 
-// Keeper exposes the quantum keeper (e.g. to force syncs).
-func (in *Initiator) Keeper() *td.QuantumKeeper { return in.qk }
-
 // ReadWord reads one word.
 func (in *Initiator) ReadWord(addr uint32) uint32 {
 	in.word[0] = 0

@@ -81,11 +81,6 @@ type Options struct {
 	// RetryBackoff is the sleep before the first retry, doubling per
 	// attempt; 0 means 50ms. Only meaningful with MaxAttempts > 1.
 	RetryBackoff time.Duration
-	// AbandonGrace is how long, past an attempt's cancellation, to wait
-	// for a model that does not honour the cooperative interrupt before
-	// abandoning its goroutine and failing the attempt; 0 means 5s.
-	// Only meaningful when a deadline or cancellable context is in play.
-	AbandonGrace time.Duration
 	// NoDegrade disables the sharded→single-kernel degradation rerun
 	// that otherwise follows a transiently-failed sharded point.
 	NoDegrade bool
@@ -135,9 +130,6 @@ func (o *Options) fill() {
 	}
 	if o.RetryBackoff <= 0 {
 		o.RetryBackoff = 50 * time.Millisecond
-	}
-	if o.AbandonGrace <= 0 {
-		o.AbandonGrace = 5 * time.Second
 	}
 }
 
@@ -474,6 +466,11 @@ func shardsOf(p scenario.Params) int {
 	return n
 }
 
+// abandonGrace is how long, past an attempt's cancellation, runAttempt
+// waits for a model that does not honour the cooperative interrupt
+// before abandoning its goroutine and failing the attempt.
+const abandonGrace = 5 * time.Second
+
 // runAttempt executes one model call under the point deadline, the
 // stall watchdog and the abandon grace. The default configuration (no
 // deadline, non-cancellable parent) stays on the calling goroutine with
@@ -506,13 +503,13 @@ func runAttempt(ctx context.Context, opt Options, call func(context.Context) err
 	}
 	// The attempt's context ended; give the cooperative interrupt a
 	// grace period to unwind the run before abandoning the goroutine.
-	timer := time.NewTimer(opt.AbandonGrace)
+	timer := time.NewTimer(abandonGrace)
 	defer timer.Stop()
 	select {
 	case err := <-res:
 		return err
 	case <-timer.C:
-		return fmt.Errorf("%w after %v + %v grace", ErrAbandoned, opt.PointDeadline, opt.AbandonGrace)
+		return fmt.Errorf("%w after %v + %v grace", ErrAbandoned, opt.PointDeadline, abandonGrace)
 	}
 }
 

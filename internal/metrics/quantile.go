@@ -78,8 +78,3 @@ func HistogramQuantile(bounds []float64, buckets []uint64, q float64) float64 {
 	}
 	return bounds[len(bounds)-1]
 }
-
-// SnapQuantile estimates the q-quantile of a histogram series snapshot.
-func (s SeriesSnap) SnapQuantile(q float64) float64 {
-	return HistogramQuantile(s.Bounds, s.Buckets, q)
-}

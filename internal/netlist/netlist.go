@@ -646,11 +646,6 @@ func (g *Graph) partGraph(units []Unit, unitOf []int) PartGraph {
 	return pg
 }
 
-// KernelOf returns the kernel the module elaborated onto.
-func (b *Build) KernelOf(m *Module) *sim.Kernel {
-	return b.Kernels[b.Assignment[m.idx]]
-}
-
 // Shards returns the number of kernels.
 func (b *Build) Shards() int { return len(b.Kernels) }
 

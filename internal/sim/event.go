@@ -12,7 +12,7 @@ package sim
 // # Subscriber-aware elision
 //
 // Channels that recompute an authoritative notification date at every state
-// change (the Smart FIFO's NotEmpty/NotFull, the PEQ's ready event) use
+// change (the Smart FIFO's NotEmpty/NotFull, the IRQ controller's event) use
 // NotifyAtReplace. When nothing is subscribed — no parked thread, no
 // static or dynamic method sensitivity — the notification is elided: no
 // timed-queue traffic at all, just a recorded date. The record is turned

@@ -1,8 +1,10 @@
 package repro
 
 import (
+	"errors"
 	"os"
 	"os/exec"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -91,5 +93,75 @@ func TestGofmtClean(t *testing.T) {
 	}
 	if files := strings.TrimSpace(string(out)); files != "" {
 		t.Errorf("files not gofmt-formatted (run gofmt -w):\n%s", files)
+	}
+}
+
+// testOnlyPackages are the internal packages allowed outside the reachable
+// set, each with the reason. The list is exact: an entry that becomes
+// reachable, or stops existing, fails the test too.
+var testOnlyPackages = map[string]string{
+	"repro/internal/chaos":     "imported only by _test.go files: the fault-injection harness whose own tests are the chaos soak",
+	"repro/internal/leakcheck": "imported only by _test.go files: the goroutine-leak assertion of the robustness tests",
+}
+
+// goList runs `go list` in dir and returns the printed import paths.
+func goList(t *testing.T, dir string, args ...string) []string {
+	t.Helper()
+	cmd := exec.Command("go", append([]string{"list"}, args...)...)
+	cmd.Dir = dir
+	out, err := cmd.Output()
+	if err != nil {
+		var stderr []byte
+		if ee := (*exec.ExitError)(nil); errors.As(err, &ee) {
+			stderr = ee.Stderr
+		}
+		t.Fatalf("go list %s (in %s): %v\n%s", strings.Join(args, " "), dir, err, stderr)
+	}
+	return strings.Fields(string(out))
+}
+
+// TestInternalPackagesReachable fails on any internal package that no
+// shipped surface imports: code kept only for its own tests. A package is
+// reachable when a non-test import chain leads to it from a command (which
+// also covers every registered scenario model, through
+// internal/campaign/models.go), from the bench/ module, or from an example
+// that has a test. Deleting a package, or giving it a tested example,
+// is how to pass.
+func TestInternalPackagesReachable(t *testing.T) {
+	if _, err := exec.LookPath("go"); err != nil {
+		t.Skip("go not on PATH")
+	}
+	roots := []string{"./cmd/..."}
+	tests, err := filepath.Glob("examples/*/*_test.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range tests {
+		roots = append(roots, "./"+filepath.ToSlash(filepath.Dir(f)))
+	}
+	reached := map[string]bool{}
+	for _, p := range goList(t, ".", append([]string{"-deps"}, roots...)...) {
+		reached[p] = true
+	}
+	for _, p := range goList(t, "bench", "-deps", ".") {
+		reached[p] = true
+	}
+
+	all := goList(t, ".", "./internal/...")
+	exists := map[string]bool{}
+	for _, p := range all {
+		exists[p] = true
+		_, allowed := testOnlyPackages[p]
+		switch {
+		case !reached[p] && !allowed:
+			t.Errorf("%s is reachable from no command, bench/ workload or tested example: delete it or give it a tested caller", p)
+		case reached[p] && allowed:
+			t.Errorf("%s is allowlisted as test-only but is now reachable: drop it from testOnlyPackages", p)
+		}
+	}
+	for p := range testOnlyPackages {
+		if !exists[p] {
+			t.Errorf("allowlisted package %s does not exist: drop it from testOnlyPackages", p)
+		}
 	}
 }
