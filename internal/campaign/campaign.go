@@ -18,8 +18,10 @@
 //     CheckEvery-th expanded index) re-runs through the model's §IV-A
 //     trace-equivalence oracle (decoupled vs reference, compared with
 //     trace.Diff after date reordering);
-//   - shared caching: an Engine's Cache carries outcomes across campaigns,
-//     so overlapping sweeps only pay for new points;
+//   - shared caching: an Engine's Cache carries outcomes and spot-check
+//     verdicts across campaigns, so overlapping sweeps only pay for new
+//     points; every job shares the Cache's one record per hash instead
+//     of copying it;
 //   - fault tolerance: every failure mode of a point — panic, wall-clock
 //     deadline (PointDeadline), no-simulated-time-progress stall
 //     (StallWindow) — becomes a structured per-point error, never a hang.
@@ -51,7 +53,8 @@ type Options struct {
 	Workers int
 	// CheckEvery samples the trace-equivalence spot check: every k-th
 	// expanded point (by its first-occurrence index) is verified against
-	// the model's reference build. 0 disables checking.
+	// the model's reference build, or answered by the verdict the Cache
+	// kept for its hash. 0 disables checking.
 	CheckEvery int
 	// MaxPoints bounds the expansion (a submission guard for the HTTP
 	// front-end); 0 means the 10000 default.
@@ -143,7 +146,11 @@ type PointResult struct {
 	Model  string          `json:"model"`
 	Hash   string          `json:"hash"`
 	Params scenario.Params `json:"params"`
-	// Outcome is the simulation result (nil when Err is set).
+	// Outcome is the simulation result (nil when Err is set). It is
+	// shared, not copied: duplicates, cache hits and every job naming
+	// the hash point at the one Outcome the Cache holds, so it is
+	// read-only. Params is likewise the Cache's interned map for an
+	// Engine job.
 	Outcome *scenario.Outcome `json:"outcome,omitempty"`
 	// Err reports a per-point failure (bad parameters, model panic).
 	Err string `json:"error,omitempty"`
@@ -534,8 +541,8 @@ func runOne(ctx context.Context, pr *PointResult, pt scenario.Point, opt Options
 		opt.live.started.Add(1)
 	}
 	start := time.Now()
-	if out, hit := opt.Cache.Get(pt.Hash); hit {
-		pr.Outcome = &out
+	if out, hit := opt.Cache.outcome(pt.Hash); hit {
+		pr.Outcome = out
 		cacheHits.Add(1)
 		pr.Cached = true
 	} else {
@@ -550,17 +557,21 @@ func runOne(ctx context.Context, pr *PointResult, pt scenario.Point, opt Options
 			if !pr.Degraded {
 				// A degraded outcome is not cached: the hash names the
 				// sharded point, and the rerun's shard counters differ.
-				opt.Cache.Put(pt.Hash, out)
+				pr.Outcome = opt.Cache.share(pt.Hash, &out)
 			}
 		}
 	}
 	if pr.Err == "" && opt.CheckEvery > 0 && pr.Index%opt.CheckEvery == 0 && model.Check != nil {
-		diff, err := safeCheck(ctx, model, pt.Params, opt)
-		if err != nil {
+		// The verdict is a function of the hash like the outcome: a
+		// kept one is reused, and only a completed check is kept (an
+		// errored one runs again next time).
+		if diff, ok := opt.Cache.verdict(pt.Hash); ok {
+			pr.Checked, pr.CheckDiff = true, diff
+		} else if diff, err := safeCheck(ctx, model, pt.Params, opt); err != nil {
 			pr.Err = fmt.Sprintf("check: %v", err)
 		} else {
-			pr.Checked = true
-			pr.CheckDiff = diff
+			pr.Checked, pr.CheckDiff = true, diff
+			opt.Cache.keepVerdict(pt.Hash, diff)
 		}
 	}
 	pr.WallMS = float64(time.Since(start).Microseconds()) / 1000

@@ -127,8 +127,12 @@ func (e *Engine) submit(set scenario.Set, id string, resumed bool) (*Job, error)
 	if err != nil {
 		return nil, err
 	}
+	// Every job naming a hash shares the cache's one Params map (and
+	// hash string) for it instead of retaining its own expansion.
 	unique := map[string]bool{}
-	for _, p := range points {
+	for i := range points {
+		p := &points[i]
+		p.Hash, p.Params = opts.Cache.intern(p.Hash, p.Params)
 		unique[p.Hash] = true
 	}
 
@@ -231,7 +235,7 @@ func (e *Engine) submit(set scenario.Set, id string, resumed bool) (*Job, error)
 			st.JobFinished(j.id)
 		}
 		j.mu.Unlock()
-		j.stream.finish()
+		j.stream.finish(res)
 		close(j.done)
 	}()
 	return j, nil

@@ -14,21 +14,28 @@ import (
 // Options.onPoint); the stream fans each one out to every expansion
 // index sharing its hash, mirroring exactly the dedup-copy rule the
 // buffered results document applies at the end, so a streamed row i is
-// byte-identical to row i of the final document.
+// byte-identical to row i of the final document. Once the job settles
+// the stream adopts that document's rows and drops its own, so a
+// settled job keeps one row array.
 type pointStream struct {
+	// n is the expanded point count. It never changes, so NumPoints and
+	// StreamPoint read it without the lock (len(pts) changes on settle).
+	n int
+
 	mu      sync.Mutex
-	pts     []PointResult
-	ready   []bool
+	pts     []PointResult // live rows; the document's rows once settled
+	ready   []bool        // nil once settled
 	settled bool
 	changed chan struct{} // closed and replaced on every publish
 
-	byHash map[string][]int
+	byHash map[string][]int // nil once settled
 }
 
 // newPointStream builds the skeleton from the expanded points: identity
 // fields and the dedup flags are known up front, outcomes arrive later.
 func newPointStream(points []scenario.Point) *pointStream {
 	s := &pointStream{
+		n:       len(points),
 		pts:     make([]PointResult, len(points)),
 		ready:   make([]bool, len(points)),
 		changed: make(chan struct{}),
@@ -69,11 +76,12 @@ func (s *pointStream) publish(pr PointResult) {
 	close(ch)
 }
 
-// finish marks the stream settled (no more publishes will come) and
-// wakes every waiter.
-func (s *pointStream) finish() {
+// finish marks the stream settled (no more publishes will come), swaps
+// the live rows for the results document's and wakes every waiter.
+func (s *pointStream) finish(res *Results) {
 	s.mu.Lock()
 	s.settled = true
+	s.pts, s.ready, s.byHash = res.Points, nil, nil
 	ch := s.changed
 	s.changed = make(chan struct{})
 	s.mu.Unlock()
@@ -86,7 +94,7 @@ func (j *Job) NumPoints() int {
 	if j.stream == nil {
 		return 0
 	}
-	return len(j.stream.pts)
+	return j.stream.n
 }
 
 // StreamPoint blocks until point i of the job is complete — or the job
@@ -100,28 +108,18 @@ func (j *Job) StreamPoint(ctx context.Context, i int) (PointResult, error) {
 	if s == nil {
 		return PointResult{}, fmt.Errorf("campaign: job %s retained no point stream", j.id)
 	}
-	if i < 0 || i >= len(s.pts) {
-		return PointResult{}, fmt.Errorf("campaign: point %d out of range (%d points)", i, len(s.pts))
+	if i < 0 || i >= s.n {
+		return PointResult{}, fmt.Errorf("campaign: point %d out of range (%d points)", i, s.n)
 	}
 	for {
 		s.mu.Lock()
-		if s.ready[i] {
+		// Settled, the rows are the document's: this also answers an
+		// index a cancelled campaign never published (it was marked in
+		// the final document only).
+		if s.settled || s.ready[i] {
 			pr := s.pts[i]
 			s.mu.Unlock()
 			return pr, nil
-		}
-		if s.settled {
-			s.mu.Unlock()
-			// Settled with this index never published: a cancelled
-			// campaign whose remaining points were marked in the final
-			// document only. Serve that document's row.
-			j.mu.Lock()
-			res := j.results
-			j.mu.Unlock()
-			if res != nil && i < len(res.Points) {
-				return res.Points[i], nil
-			}
-			return PointResult{}, fmt.Errorf("campaign: job %s settled without results", j.id)
 		}
 		ch := s.changed
 		s.mu.Unlock()
