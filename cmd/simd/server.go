@@ -259,15 +259,20 @@ func (s *server) results(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// stream200 serves the results incrementally: rows are written (and
-// flushed) as points complete, in expansion order, instead of answering
-// 409 until the campaign settles. CSV output is the exact buffered
-// document — same header, same column order, same bytes once complete.
-// JSON output is newline-delimited: one compact PointResult object per
-// line in the buffered document's field order, then one final line
-// carrying the aggregate (or the job status, if the campaign was cut
-// short). A client disconnect just abandons the walk; the campaign is
-// unaffected.
+// stream200 serves the results incrementally: rows are written as
+// points complete, in expansion order, instead of answering 409 until
+// the campaign settles. CSV output is the exact buffered document —
+// same header, same column order, same bytes once complete. JSON output
+// is newline-delimited: one compact PointResult object per line in the
+// buffered document's field order, then one final line carrying the
+// aggregate (or the job status, if the campaign was cut short). A client
+// disconnect just abandons the walk; the campaign is unaffected.
+//
+// Rows are flushed once per wait, not once per row: the header leaves
+// with the first row (or alone, if the first row is not ready), then the
+// written rows leave only when the next one is not ready yet, before
+// waiting on the job, and at the end. A settled job streams with three
+// flushes whatever its size.
 func (s *server) stream200(w http.ResponseWriter, r *http.Request, job *campaign.Job, format string, includeWall bool) {
 	n := job.NumPoints()
 	if n == 0 {
@@ -289,14 +294,17 @@ func (s *server) stream200(w http.ResponseWriter, r *http.Request, job *campaign
 		csvw = campaign.NewCSV(w, campaign.CSVColumns...)
 	}
 	w.WriteHeader(http.StatusOK)
-	flush()
+	var line []byte
 	for i := 0; i < n; i++ {
+		if !job.PointReady(i) {
+			flush()
+		}
 		pr, err := job.StreamPoint(r.Context(), i)
 		if err != nil {
 			return // client went away (or the job retained nothing)
 		}
 		if emitJSON {
-			if err := campaign.StreamPointJSON(w, &pr, includeWall); err != nil {
+			if line, err = campaign.StreamPointJSON(w, line, &pr, includeWall); err != nil {
 				return
 			}
 		} else {
@@ -304,8 +312,11 @@ func (s *server) stream200(w http.ResponseWriter, r *http.Request, job *campaign
 				return
 			}
 		}
-		flush()
+		if i == 0 {
+			flush()
+		}
 	}
+	flush()
 	// The last point is published before the job stores its document and
 	// settles, so wait for the job itself: the stream then always closes
 	// with the aggregate, and a buffered GET after EOF answers 200.

@@ -259,3 +259,95 @@ func TestStreamClosesWithAggregate(t *testing.T) {
 		}
 	}
 }
+
+// countingFlusher is a response recorder that counts the handler's
+// flushes and reports the body length at each one.
+type countingFlusher struct {
+	*httptest.ResponseRecorder
+	flushes int
+	at      chan int // body length at each flush, when non-nil
+}
+
+func (c *countingFlusher) Flush() {
+	c.flushes++
+	c.ResponseRecorder.Flush()
+	if c.at != nil {
+		c.at <- c.Body.Len()
+	}
+}
+
+// sweepSet is the 168-point shape of the repository benchmark's sweep
+// workloads: 96 pipeline and 72 kpn points.
+const sweepSet = `{
+	"name": "sweep",
+	"specs": [
+		{"model": "pipeline", "params": {"blocks": 4, "words_per_block": 100},
+		 "matrix": {"depth": [1, 2, 4, 16, 64, 256], "mode": ["TDless", "TDfull"], "seed": [1, 2, 3, 4, 5, 6, 7, 8]}},
+		{"model": "kpn", "params": {"tokens": 64},
+		 "matrix": {"stages": [2, 4, 8], "depth": [1, 4, 16], "seed": [1, 2, 3, 4, 5, 6, 7, 8]}}
+	]
+}`
+
+// TestStreamFlushesOncePerWait pins the stream's flush policy: a settled
+// job's rows are all ready, so the stream flushes three times (header
+// with the first row, before waiting on the job, at the end) whatever
+// its size, with the same bytes as the buffered document. A running
+// job's header leaves before the handler waits for the first row.
+func TestStreamFlushesOncePerWait(t *testing.T) {
+	eng := campaign.NewEngine(campaign.Options{Workers: 2})
+	srv := newServer(eng, nil)
+	ts := httptest.NewServer(srv)
+	t.Cleanup(func() {
+		ts.Close()
+		eng.Close()
+	})
+	id := submitAndWait(t, ts.URL, sweepSet)
+	base := "/campaigns/" + id + "/results"
+	for _, format := range []string{"json", "csv"} {
+		rec := &countingFlusher{ResponseRecorder: httptest.NewRecorder()}
+		srv.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, base+"?stream=1&format="+format, nil))
+		if rec.Code != http.StatusOK {
+			t.Fatalf("%s stream: %d %s", format, rec.Code, rec.Body)
+		}
+		if rec.flushes != 3 {
+			t.Errorf("%s stream of a settled 168-point job flushed %d times, want 3", format, rec.flushes)
+		}
+		body := rec.Body.String()
+		if format == "csv" {
+			if _, buffered := get(t, ts.URL+base+"?format=csv"); body != string(buffered) {
+				t.Errorf("streamed CSV differs from the buffered document")
+			}
+		} else if n := strings.Count(body, "\n"); n != 168+1 {
+			t.Errorf("NDJSON stream has %d lines, want 168 rows + aggregate", n)
+		}
+	}
+
+	release := armSlowGate()
+	defer release()
+	code, body := post(t, ts.URL+"/campaigns", `{"model": "slow-test", "matrix": {"id": [1, 2]}}`)
+	if code != http.StatusCreated {
+		t.Fatalf("submit: %d %s", code, body)
+	}
+	var created struct {
+		Results string `json:"results"`
+	}
+	json.Unmarshal(body, &created)
+	// The buffer holds every flush a two-point stream can make (at most
+	// five), so the handler never blocks on the flushes not received.
+	rec := &countingFlusher{ResponseRecorder: httptest.NewRecorder(), at: make(chan int, 16)}
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		srv.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, created.Results+"?stream=1", nil))
+	}()
+	// The job is blocked on the gate: the first flush sends the response
+	// header and no row.
+	if n := <-rec.at; n != 0 {
+		t.Errorf("first flush of a running job carried %d body bytes, want the header alone", n)
+	}
+	release()
+	<-done
+	if n := strings.Count(rec.Body.String(), "\n"); n != 2+1 {
+		t.Errorf("running job's stream has %d lines, want 2 rows + aggregate", n)
+	}
+}

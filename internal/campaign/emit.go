@@ -5,6 +5,9 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"strconv"
+
+	"repro/internal/scenario"
 )
 
 // WriteJSON writes v to w as one indented JSON document, newline
@@ -89,9 +92,10 @@ func (r *Results) JSON(w io.Writer, includeTiming bool) error {
 // report: wall time, attempt counts and the cache provenance all depend
 // on scheduling or on what ran before, not on the spec. Degraded and
 // Stall stay — they are outcome provenance, and healthy runs never set
-// them. Applied by every canonical emitter (JSON, CSV, streaming) so the
-// deterministic document stays byte-identical across worker counts AND
-// across restarts.
+// them. Applied by every canonical emitter (JSON, CSV, streaming; the
+// streamed row's encoder skips the same fields instead of zeroing a
+// copy) so the deterministic document stays byte-identical across
+// worker counts AND across restarts.
 func canonicalizePoint(p *PointResult) {
 	p.WallMS = 0
 	p.ProfileWallMS = 0
@@ -137,7 +141,7 @@ func csvPointRow(c *CSV, p *PointResult, includeTiming bool) error {
 		wb = p.Outcome.Counters["cut_weight_before"]
 		wa = p.Outcome.Counters["cut_weight_after"]
 	}
-	params, err := json.Marshal(p.Params)
+	params, err := p.Params.AppendJSON(nil)
 	if err != nil {
 		return err
 	}
@@ -163,24 +167,98 @@ func (r *Results) WriteCSV(w io.Writer, includeTiming bool) error {
 // newline-delimited streaming flavour of the results document. The
 // object's field order is the PointResult struct order, identical to
 // the buffered document's; without includeTiming the same canonical
-// zeroing applies.
-func StreamPointJSON(w io.Writer, p *PointResult, includeTiming bool) error {
-	pt := *p
-	if !includeTiming {
-		canonicalizePoint(&pt)
-	}
-	js, err := json.Marshal(&pt)
+// zeroing applies. The line is rendered into buf (from its start) and
+// buf is returned, so a stream reuses one buffer for all its rows.
+func StreamPointJSON(w io.Writer, buf []byte, p *PointResult, includeTiming bool) ([]byte, error) {
+	buf, err := p.appendJSON(buf[:0], !includeTiming)
 	if err != nil {
-		return err
+		return buf, err
 	}
-	js = append(js, '\n')
-	_, err = w.Write(js)
-	return err
+	buf = append(buf, '\n')
+	_, err = w.Write(buf)
+	return buf, err
+}
+
+// MarshalJSON renders the point through the same encoder as the stream,
+// timing fields included: the buffered results document encodes its
+// rows this way.
+func (p PointResult) MarshalJSON() ([]byte, error) { return p.appendJSON(nil, false) }
+
+// appendJSON appends the point's JSON object: the struct's fields in
+// order, as their tags say, exactly as encoding/json would write them.
+// With canonical set the timing telemetry is left out, as
+// canonicalizePoint zeroes it.
+func (p *PointResult) appendJSON(b []byte, canonical bool) ([]byte, error) {
+	b = append(b, `{"index":`...)
+	b = strconv.AppendInt(b, int64(p.Index), 10)
+	b = append(b, `,"model":`...)
+	b = scenario.AppendJSONString(b, p.Model)
+	b = append(b, `,"hash":`...)
+	b = scenario.AppendJSONString(b, p.Hash)
+	b = append(b, `,"params":`...)
+	b, err := p.Params.AppendJSON(b)
+	if err != nil {
+		return b, err
+	}
+	if p.Outcome != nil {
+		b = append(b, `,"outcome":`...)
+		b = p.Outcome.AppendJSON(b)
+	}
+	if p.Err != "" {
+		b = append(b, `,"error":`...)
+		b = scenario.AppendJSONString(b, p.Err)
+	}
+	if p.Dedup {
+		b = append(b, `,"dedup":true`...)
+	}
+	if p.Cached && !canonical {
+		b = append(b, `,"cached":true`...)
+	}
+	if p.Checked {
+		b = append(b, `,"checked":true`...)
+	}
+	if p.CheckDiff != "" {
+		b = append(b, `,"check_diff":`...)
+		b = scenario.AppendJSONString(b, p.CheckDiff)
+	}
+	if p.Degraded {
+		b = append(b, `,"degraded":true`...)
+	}
+	if p.Stall != nil {
+		// Rare: only stalled points carry a diagnostic.
+		js, err := json.Marshal(p.Stall)
+		if err != nil {
+			return b, err
+		}
+		b = append(b, `,"stall":`...)
+		b = append(b, js...)
+	}
+	if canonical {
+		return append(b, '}'), nil
+	}
+	if p.Attempts != 0 {
+		b = append(b, `,"attempts":`...)
+		b = strconv.AppendInt(b, int64(p.Attempts), 10)
+	}
+	if p.WallMS != 0 {
+		b = append(b, `,"wall_ms":`...)
+		if b, err = scenario.AppendJSONFloat(b, p.WallMS, 64); err != nil {
+			return b, err
+		}
+	}
+	if p.ProfileWallMS != 0 {
+		b = append(b, `,"profile_wall_ms":`...)
+		if b, err = scenario.AppendJSONFloat(b, p.ProfileWallMS, 64); err != nil {
+			return b, err
+		}
+	}
+	return append(b, '}'), nil
 }
 
 // StreamPointCSV writes one point row through the shared column writer
-// and flushes it, so the row reaches the client before the next point
-// completes. The columns are exactly WriteCSV's.
+// and flushes the column writer into its destination, so the row is
+// there before the next point completes. The columns are exactly
+// WriteCSV's.
 func StreamPointCSV(c *CSV, p *PointResult, includeTiming bool) error {
 	if err := csvPointRow(c, p, includeTiming); err != nil {
 		return err

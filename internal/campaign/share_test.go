@@ -98,7 +98,7 @@ func streamRows(t *testing.T, j *Job) []byte {
 			t.Errorf("StreamPoint(%d): %v", i, err)
 			return nil
 		}
-		if err := StreamPointJSON(&buf, &pr, false); err != nil {
+		if _, err := StreamPointJSON(&buf, nil, &pr, false); err != nil {
 			t.Error(err)
 			return nil
 		}
@@ -199,7 +199,7 @@ func TestSharedOutcomesConcurrentStreams(t *testing.T) {
 					t.Errorf("StreamPoint(%d): %v", i, err)
 					return
 				}
-				StreamPointJSON(&buf, &pr, false)
+				StreamPointJSON(&buf, nil, &pr, false)
 			}
 			streamed[g] = buf.Bytes()
 		}()
@@ -228,7 +228,7 @@ func TestSharedOutcomesConcurrentStreams(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		StreamPointJSON(&rows4, &pr, false)
+		StreamPointJSON(&rows4, nil, &pr, false)
 	}
 	select {
 	case <-blockStarted:

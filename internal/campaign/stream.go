@@ -97,6 +97,19 @@ func (j *Job) NumPoints() int {
 	return j.stream.n
 }
 
+// PointReady reports, without blocking, whether StreamPoint(i) would
+// answer at once: point i is complete or the job has settled. A
+// streaming handler flushes what it has written before it would wait.
+func (j *Job) PointReady(i int) bool {
+	s := j.stream
+	if s == nil || i < 0 || i >= s.n {
+		return true // StreamPoint answers with an error at once
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.settled || s.ready[i]
+}
+
 // StreamPoint blocks until point i of the job is complete — or the job
 // settles, at which point the final results document answers — and
 // returns its report. Points stream in whatever order the caller asks;

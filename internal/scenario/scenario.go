@@ -21,6 +21,7 @@ package scenario
 
 import (
 	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"sort"
@@ -248,16 +249,22 @@ func (s Set) Expand() ([]Point, error) {
 
 // HashPoint returns the canonical content hash of a concrete scenario:
 // sha256 over the JSON encoding of {model, params} (map keys sorted, and
-// numeric values normalized, by encoding/json), truncated to 16 hex
-// digits. Two points with the same hash describe the same simulation.
+// numeric values normalized, by this package's one encoder, which is
+// byte-identical to encoding/json and pinned to it by FuzzParamsJSON),
+// truncated to 16 hex digits. Two points with the same hash describe the
+// same simulation.
 func HashPoint(model string, params Params) (string, error) {
-	canon, err := json.Marshal(struct {
-		Model  string `json:"model"`
-		Params Params `json:"params"`
-	}{model, params})
+	var stack [256]byte // a typical point's canonical bytes fit
+	canon := append(stack[:0], `{"model":`...)
+	canon = AppendJSONString(canon, model)
+	canon = append(canon, `,"params":`...)
+	canon, err := params.AppendJSON(canon)
 	if err != nil {
 		return "", fmt.Errorf("scenario: hashing %q: %w", model, err)
 	}
+	canon = append(canon, '}')
 	sum := sha256.Sum256(canon)
-	return fmt.Sprintf("%x", sum[:8]), nil
+	var digits [16]byte
+	hex.Encode(digits[:], sum[:8])
+	return string(digits[:]), nil
 }
