@@ -241,7 +241,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		// A wedged model is an environment/model defect, not an ordinary
 		// point failure: exit 2 and print the first structured diagnostic
 		// so the stuck shard and frontier are readable from the log.
-		for _, p := range res.Points {
+		for _, p := range res.Points() {
 			if p.Stall != nil {
 				fmt.Fprintf(stderr, "campaign: point %d (%s) stalled: %s\n", p.Index, p.Model, p.Stall)
 				break

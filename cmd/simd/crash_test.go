@@ -308,7 +308,7 @@ func crashCycle(t *testing.T, spec string, kills int) {
 	// The per-point provenance agrees with the metrics: with ?wall=1 the
 	// journal-served points carry Cached.
 	_, wallBody := get(t, s.url+"/campaigns/"+id+"/results?wall=1")
-	var wallDoc campaign.Results
+	var wallDoc resultsDoc
 	if err := json.Unmarshal(wallBody, &wallDoc); err != nil {
 		t.Fatal(err)
 	}

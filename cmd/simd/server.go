@@ -294,6 +294,11 @@ func (s *server) stream200(w http.ResponseWriter, r *http.Request, job *campaign
 		csvw = campaign.NewCSV(w, campaign.CSVColumns...)
 	}
 	w.WriteHeader(http.StatusOK)
+	if csvw != nil {
+		// NewCSV buffers the header in the column writer: move it into
+		// the response so the first flush carries it.
+		csvw.Flush()
+	}
 	var line []byte
 	for i := 0; i < n; i++ {
 		if !job.PointReady(i) {

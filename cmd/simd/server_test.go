@@ -56,6 +56,14 @@ func init() {
 	})
 }
 
+// resultsDoc is a results document as a client decodes it.
+type resultsDoc struct {
+	Name      string                 `json:"name"`
+	Points    []campaign.PointResult `json:"points"`
+	Aggregate campaign.Aggregate     `json:"aggregate"`
+	Timing    *campaign.Timing       `json:"timing"`
+}
+
 func newTestServer(t *testing.T) (*httptest.Server, *campaign.Engine) {
 	t.Helper()
 	eng := campaign.NewEngine(campaign.Options{Workers: 2, CheckEvery: 2})
@@ -151,7 +159,7 @@ func TestCampaignRoundTrip(t *testing.T) {
 	if code != http.StatusOK {
 		t.Fatalf("results: %d %s", code, body)
 	}
-	var res campaign.Results
+	var res resultsDoc
 	if err := json.Unmarshal(body, &res); err != nil {
 		t.Fatal(err)
 	}
@@ -160,13 +168,13 @@ func TestCampaignRoundTrip(t *testing.T) {
 	}
 	for _, p := range res.Points {
 		if p.Outcome == nil || p.WallMS != 0 {
-			t.Errorf("point %d: outcome %v, wall %v (want deterministic doc)", p.Index, p.Outcome, p.WallMS)
+			t.Errorf("point %d: outcome %s, wall %v (want deterministic doc)", p.Index, p.Outcome, p.WallMS)
 		}
 	}
 
 	// With ?wall=1 the timing section appears.
 	_, body = get(t, ts.URL+"/campaigns/"+created.ID+"/results?wall=1")
-	var withTiming campaign.Results
+	var withTiming resultsDoc
 	if err := json.Unmarshal(body, &withTiming); err != nil {
 		t.Fatal(err)
 	}

@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -69,7 +70,7 @@ func TestStreamMatchesBuffered(t *testing.T) {
 	}
 
 	_, bufJSON := get(t, base)
-	var doc campaign.Results
+	var doc resultsDoc
 	if err := json.Unmarshal(bufJSON, &doc); err != nil {
 		t.Fatal(err)
 	}
@@ -292,7 +293,8 @@ const sweepSet = `{
 // job's rows are all ready, so the stream flushes three times (header
 // with the first row, before waiting on the job, at the end) whatever
 // its size, with the same bytes as the buffered document. A running
-// job's header leaves before the handler waits for the first row.
+// job's header leaves before the handler waits for the first row: the
+// response header alone for NDJSON, the CSV header line for CSV.
 func TestStreamFlushesOncePerWait(t *testing.T) {
 	eng := campaign.NewEngine(campaign.Options{Workers: 2})
 	srv := newServer(eng, nil)
@@ -322,32 +324,44 @@ func TestStreamFlushesOncePerWait(t *testing.T) {
 		}
 	}
 
-	release := armSlowGate()
-	defer release()
-	code, body := post(t, ts.URL+"/campaigns", `{"model": "slow-test", "matrix": {"id": [1, 2]}}`)
-	if code != http.StatusCreated {
-		t.Fatalf("submit: %d %s", code, body)
-	}
-	var created struct {
-		Results string `json:"results"`
-	}
-	json.Unmarshal(body, &created)
-	// The buffer holds every flush a two-point stream can make (at most
-	// five), so the handler never blocks on the flushes not received.
-	rec := &countingFlusher{ResponseRecorder: httptest.NewRecorder(), at: make(chan int, 16)}
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		srv.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, created.Results+"?stream=1", nil))
-	}()
-	// The job is blocked on the gate: the first flush sends the response
-	// header and no row.
-	if n := <-rec.at; n != 0 {
-		t.Errorf("first flush of a running job carried %d body bytes, want the header alone", n)
-	}
-	release()
-	<-done
-	if n := strings.Count(rec.Body.String(), "\n"); n != 2+1 {
-		t.Errorf("running job's stream has %d lines, want 2 rows + aggregate", n)
+	// The CSV header line: the column names, comma-separated.
+	csvHeader := len(strings.Join(campaign.CSVColumns, ",")) + 1
+	for k, c := range []struct {
+		format string
+		first  int // body bytes of the first flush
+		lines  int // lines of the whole stream
+	}{
+		{"json", 0, 2 + 1},        // 2 rows + aggregate
+		{"csv", csvHeader, 1 + 2}, // header + 2 rows
+	} {
+		release := armSlowGate()
+		code, body := post(t, ts.URL+"/campaigns", fmt.Sprintf(`{"model": "slow-test", "matrix": {"id": [%d, %d]}}`, 2*k+1, 2*k+2))
+		if code != http.StatusCreated {
+			release()
+			t.Fatalf("submit: %d %s", code, body)
+		}
+		var created struct {
+			Results string `json:"results"`
+		}
+		json.Unmarshal(body, &created)
+		// The buffer holds every flush a two-point stream can make (at
+		// most five), so the handler never blocks on the flushes not
+		// received.
+		rec := &countingFlusher{ResponseRecorder: httptest.NewRecorder(), at: make(chan int, 16)}
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			srv.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, created.Results+"?stream=1&format="+c.format, nil))
+		}()
+		// The job is blocked on the gate: the first flush sends the
+		// header and no row.
+		if n := <-rec.at; n != c.first {
+			t.Errorf("%s: first flush of a running job carried %d body bytes, want the %d-byte header alone", c.format, n, c.first)
+		}
+		release()
+		<-done
+		if n := strings.Count(rec.Body.String(), "\n"); n != c.lines {
+			t.Errorf("%s: running job's stream has %d lines, want %d", c.format, n, c.lines)
+		}
 	}
 }

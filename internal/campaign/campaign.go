@@ -34,6 +34,7 @@ package campaign
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"runtime"
@@ -115,10 +116,10 @@ type Options struct {
 	// installed by Engine.Submit, nil for synchronous Run.
 	live *liveStats
 	// onPoint, when non-nil, receives a snapshot of each canonical
-	// point result right after its worker finishes it (calls come from
+	// point's row right after its worker finishes it (calls come from
 	// worker goroutines, one per unique hash, in completion order).
 	// Installed by Engine.Submit for journaling and result streaming.
-	onPoint func(pr PointResult)
+	onPoint func(idx int, r row)
 }
 
 func (o *Options) fill() {
@@ -136,22 +137,24 @@ func (o *Options) fill() {
 	}
 }
 
-// PointResult is one expanded point's report. All fields except WallMS
-// are deterministic functions of the spec.
+// PointResult is one expanded point's report: a view of a settled or
+// streamed row, built on demand. All fields except WallMS are
+// deterministic functions of the spec.
 type PointResult struct {
 	// Index is the point's position in expansion order.
 	Index int `json:"index"`
 	// Model and Params echo the concrete scenario; Hash is its
-	// canonical content hash.
+	// canonical content hash. Params is the canonical params JSON, the
+	// params part of the bytes the hash was computed over (DecodeParams
+	// decodes it).
 	Model  string          `json:"model"`
 	Hash   string          `json:"hash"`
-	Params scenario.Params `json:"params"`
-	// Outcome is the simulation result (nil when Err is set). It is
-	// shared, not copied: duplicates, cache hits and every job naming
-	// the hash point at the one Outcome the Cache holds, so it is
-	// read-only. Params is likewise the Cache's interned map for an
-	// Engine job.
-	Outcome *scenario.Outcome `json:"outcome,omitempty"`
+	Params json.RawMessage `json:"params"`
+	// Outcome is the simulation result's canonical JSON (nil when Err
+	// is set; DecodeOutcome decodes it). Params and Outcome are shared,
+	// not copied: duplicates, cache hits and every job naming the hash
+	// view the bytes the Cache's record holds, so they are read-only.
+	Outcome json.RawMessage `json:"outcome,omitempty"`
 	// Err reports a per-point failure (bad parameters, model panic).
 	Err string `json:"error,omitempty"`
 	// Dedup marks a point whose hash already appeared at a lower index;
@@ -191,6 +194,123 @@ type PointResult struct {
 	// the twin was served from cache). Nondeterministic like WallMS:
 	// zeroed in the canonical results document.
 	ProfileWallMS float64 `json:"profile_wall_ms,omitempty"`
+}
+
+// DecodeParams decodes the point's canonical params JSON (numbers
+// decode as float64).
+func (p *PointResult) DecodeParams() (scenario.Params, error) {
+	var params scenario.Params
+	err := json.Unmarshal(p.Params, &params)
+	return params, err
+}
+
+// DecodeOutcome decodes the point's canonical outcome JSON; nil when the
+// point has no outcome.
+func (p *PointResult) DecodeOutcome() (*scenario.Outcome, error) {
+	if p.Outcome == nil {
+		return nil, nil
+	}
+	out := new(scenario.Outcome)
+	if err := json.Unmarshal(p.Outcome, out); err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
+// row is what a job keeps of one point: the shared record and what this
+// execution alone measured. PointResult is its view.
+type row struct {
+	rec           *record
+	wallMS        float64
+	profileWallMS float64
+	attempts      int32
+	flags         rowFlags
+	// x holds the rare fields; nil on a healthy point.
+	x *rowExtra
+}
+
+type rowFlags uint8
+
+const (
+	// rowOutcome marks a row whose outcome is its record's.
+	rowOutcome rowFlags = 1 << iota
+	rowDedup
+	rowCached
+	rowChecked
+	rowDegraded
+)
+
+// rowExtra holds a row's rare fields.
+type rowExtra struct {
+	err       string
+	checkDiff string
+	stall     *par.StallDiagnostic
+	// out is a degraded point's own outcome: the rerun's counters
+	// differ from the hash's, so it is not the record's.
+	out *canonOutcome
+}
+
+// ext returns r's rare fields, allocating them on first use.
+func (r *row) ext() *rowExtra {
+	if r.x == nil {
+		r.x = &rowExtra{}
+	}
+	return r.x
+}
+
+// err returns the row's failure, "" when it has none.
+func (r *row) err() string {
+	if r.x == nil {
+		return ""
+	}
+	return r.x.err
+}
+
+// outcome returns the row's outcome, nil when it has none.
+func (r *row) outcome() *canonOutcome {
+	if r.flags&rowOutcome != 0 {
+		return &r.rec.out
+	}
+	if r.x != nil {
+		return r.x.out
+	}
+	return nil
+}
+
+// copyOutcome gives a duplicate its canonical point's outcome and
+// provenance (error, degradation, stall diagnostic). Checks are not
+// repeated (Checked stays false so the flag is deterministic), and
+// Attempts stays zero — the duplicate itself executed nothing.
+func (r *row) copyOutcome(src *row) {
+	r.flags = r.flags&^(rowOutcome|rowDegraded) | src.flags&(rowOutcome|rowDegraded)
+	r.x = nil
+	if x := src.x; x != nil && (x.err != "" || x.stall != nil || x.out != nil) {
+		r.x = &rowExtra{err: x.err, stall: x.stall, out: x.out}
+	}
+}
+
+// view renders row i as a PointResult, sharing the record's bytes.
+func (r *row) view(i int) PointResult {
+	p := PointResult{
+		Index:         i,
+		Model:         r.rec.model,
+		Hash:          r.rec.hash,
+		Params:        r.rec.params,
+		Dedup:         r.flags&rowDedup != 0,
+		Cached:        r.flags&rowCached != 0,
+		Checked:       r.flags&rowChecked != 0,
+		Degraded:      r.flags&rowDegraded != 0,
+		Attempts:      int(r.attempts),
+		WallMS:        r.wallMS,
+		ProfileWallMS: r.profileWallMS,
+	}
+	if out := r.outcome(); out != nil {
+		p.Outcome = out.js
+	}
+	if x := r.x; x != nil {
+		p.Err, p.CheckDiff, p.Stall = x.err, x.checkDiff, x.stall
+	}
+	return p
 }
 
 // Aggregate summarizes a campaign deterministically.
@@ -235,17 +355,28 @@ type Timing struct {
 	CacheHits int `json:"cache_hits"`
 }
 
-// Results is a full campaign report.
+// Results is a full campaign report. It keeps one compact row per
+// expanded point; Points builds PointResult views of them.
 type Results struct {
 	// Name echoes the set name.
-	Name string `json:"name,omitempty"`
-	// Points holds one entry per expanded point, in expansion order.
-	Points []PointResult `json:"points"`
+	Name string
 	// Aggregate is the deterministic summary.
-	Aggregate Aggregate `json:"aggregate"`
+	Aggregate Aggregate
 	// Timing is the nondeterministic summary; omitted by Results.JSON
 	// unless requested.
-	Timing *Timing `json:"timing,omitempty"`
+	Timing *Timing
+
+	rows []row // one per expanded point, in expansion order
+}
+
+// Points returns a view of every point, in expansion order: a fresh
+// slice whose Params and Outcome share the records' bytes.
+func (r *Results) Points() []PointResult {
+	pts := make([]PointResult, len(r.rows))
+	for i := range r.rows {
+		pts[i] = r.rows[i].view(i)
+	}
+	return pts
 }
 
 // Run executes the set and blocks until every point completed (or ctx was
@@ -254,18 +385,18 @@ type Results struct {
 // oversize — while per-point failures land in the results.
 func Run(ctx context.Context, set scenario.Set, opt Options) (*Results, error) {
 	opt.fill()
-	points, err := expandChecked(set, opt.MaxPoints)
+	points, err := expand(set, opt)
 	if err != nil {
 		return nil, err
 	}
-	return runPoints(ctx, set.Name, points, opt), nil
+	return runPoints(ctx, set.Name, points, opt.Cache.intern(points), opt), nil
 }
 
-// expandChecked sizes the expansion before materializing it — the count
-// (and the scenario.MaxExpansion overflow guard inside it) runs first, so
-// an oversize matrix in a small JSON body is rejected without paying for
-// a single point.
-func expandChecked(set scenario.Set, maxPoints int) ([]scenario.Point, error) {
+// expand sizes the expansion before materializing it — the count (and
+// the scenario.MaxExpansion overflow guard inside it) runs first, so an
+// oversize matrix in a small JSON body is rejected without paying for a
+// single point — and applies the profile-guided rewrite.
+func expand(set scenario.Set, opt Options) ([]scenario.Point, error) {
 	n, err := set.NumPoints()
 	if err != nil {
 		return nil, err
@@ -273,29 +404,30 @@ func expandChecked(set scenario.Set, maxPoints int) ([]scenario.Point, error) {
 	if n == 0 {
 		return nil, fmt.Errorf("campaign: the set expands to no points")
 	}
-	if n > maxPoints {
-		return nil, fmt.Errorf("campaign: %d points exceed the %d-point limit", n, maxPoints)
+	if n > opt.MaxPoints {
+		return nil, fmt.Errorf("campaign: %d points exceed the %d-point limit", n, opt.MaxPoints)
 	}
-	return set.Expand()
-}
-
-// runPoints is the engine core: opt must be filled and points expanded
-// and within limits.
-func runPoints(ctx context.Context, name string, points []scenario.Point, opt Options) *Results {
-	if opt.ProfileGuided {
+	points, err := set.Expand()
+	if err == nil && opt.ProfileGuided {
 		points = profileGuidedPoints(points)
 	}
-	res := &Results{Name: name, Points: make([]PointResult, len(points))}
-	// Group by hash: the lowest index computes, the rest copy.
-	canonical := map[string]int{}
+	return points, err
+}
+
+// runPoints is the engine core: opt must be filled, points expanded and
+// within limits, and recs their records.
+func runPoints(ctx context.Context, name string, points []scenario.Point, recs []*record, opt Options) *Results {
+	res := &Results{Name: name, rows: make([]row, len(points))}
+	// Group by record: the lowest index computes, the rest copy.
+	canonical := map[*record]int{}
 	var uniques []int
-	for i, p := range points {
-		res.Points[i] = PointResult{Index: i, Model: p.Model, Hash: p.Hash, Params: p.Params}
-		if _, seen := canonical[p.Hash]; !seen {
-			canonical[p.Hash] = i
+	for i, r := range recs {
+		res.rows[i].rec = r
+		if _, seen := canonical[r]; !seen {
+			canonical[r] = i
 			uniques = append(uniques, i)
 		} else {
-			res.Points[i].Dedup = true
+			res.rows[i].flags = rowDedup
 		}
 	}
 
@@ -314,12 +446,12 @@ func runPoints(ctx context.Context, name string, points []scenario.Point, opt Op
 				if opt.Metrics != nil {
 					opt.Metrics.ActiveWorkers.Add(1)
 				}
-				runOne(ctx, &res.Points[idx], points[idx], opt, &cacheHits)
+				runOne(ctx, &res.rows[idx], idx, points[idx], opt, &cacheHits)
 				if opt.Metrics != nil {
 					opt.Metrics.ActiveWorkers.Add(-1)
 				}
 				if opt.onPoint != nil {
-					opt.onPoint(res.Points[idx])
+					opt.onPoint(idx, res.rows[idx])
 				}
 				n := int(done.Add(1))
 				if opt.OnProgress != nil {
@@ -334,30 +466,21 @@ func runPoints(ctx context.Context, name string, points []scenario.Point, opt Op
 	close(jobs)
 	wg.Wait()
 
-	// Duplicates copy their canonical point's outcome (including its
-	// degradation provenance); checks are not repeated (Checked stays
-	// false so the flag is deterministic), and Attempts stays zero —
-	// the duplicate itself executed nothing.
-	for i := range res.Points {
-		if !res.Points[i].Dedup {
-			continue
+	for i := range res.rows {
+		if r := &res.rows[i]; r.flags&rowDedup != 0 {
+			r.copyOutcome(&res.rows[canonical[r.rec]])
 		}
-		src := &res.Points[canonical[res.Points[i].Hash]]
-		res.Points[i].Outcome = src.Outcome
-		res.Points[i].Err = src.Err
-		res.Points[i].Degraded = src.Degraded
-		res.Points[i].Stall = src.Stall
 	}
 
-	res.Aggregate = aggregate(res.Points)
+	res.Aggregate = aggregate(res.rows)
 	wall := time.Since(start)
 	t := &Timing{
 		WallMS:    float64(wall.Microseconds()) / 1000,
 		Workers:   opt.Workers,
 		CacheHits: int(cacheHits.Load()),
 	}
-	for i := range res.Points {
-		t.PointWallMS += res.Points[i].WallMS
+	for i := range res.rows {
+		t.PointWallMS += res.rows[i].wallMS
 	}
 	if t.WallMS > 0 {
 		t.SpeedupX = t.PointWallMS / t.WallMS
@@ -438,7 +561,7 @@ func hasKey(keys []string, k string) bool {
 // run that follows.
 // Twin failures are deliberately non-fatal: the sharded run re-profiles
 // inline if it must.
-func profilePoint(ctx context.Context, m scenario.Model, pt scenario.Point, opt Options, pr *PointResult, cacheHits *atomic.Int64) {
+func profilePoint(ctx context.Context, m scenario.Model, pt scenario.Point, opt Options, r *row, cacheHits *atomic.Int64) {
 	params := pt.Params.Clone()
 	params["shards"] = 1
 	delete(params, "partitioner")
@@ -455,7 +578,7 @@ func profilePoint(ctx context.Context, m scenario.Model, pt scenario.Point, opt 
 	if err != nil {
 		return
 	}
-	pr.ProfileWallMS = float64(time.Since(start).Microseconds()) / 1000
+	r.profileWallMS = float64(time.Since(start).Microseconds()) / 1000
 	if opt.Metrics != nil {
 		opt.Metrics.ProfileRuns.Inc()
 	}
@@ -520,18 +643,19 @@ func runAttempt(ctx context.Context, opt Options, call func(context.Context) err
 	}
 }
 
-// runOne executes (or fetches) one canonical point and its sampled
-// check, applying the robustness policy: bounded retries with
+// runOne executes (or fetches) one canonical point, row idx, and its
+// sampled check, applying the robustness policy: bounded retries with
 // exponential backoff for transient failures, then — for sharded
 // points — one quarantined single-kernel degradation rerun.
-func runOne(ctx context.Context, pr *PointResult, pt scenario.Point, opt Options, cacheHits *atomic.Int64) {
+func runOne(ctx context.Context, r *row, idx int, pt scenario.Point, opt Options, cacheHits *atomic.Int64) {
+	opt.Cache.fillParams(r.rec, pt.Params)
 	model, ok := scenario.Lookup(pt.Model)
 	if !ok { // unreachable after Expand validation; belt and braces
-		pr.Err = fmt.Sprintf("unknown model %q", pt.Model)
+		r.ext().err = fmt.Sprintf("unknown model %q", pt.Model)
 		return
 	}
 	if err := ctx.Err(); err != nil {
-		pr.Err = fmt.Sprintf("cancelled: %v", err)
+		r.ext().err = fmt.Sprintf("cancelled: %v", err)
 		return
 	}
 	if opt.Metrics != nil {
@@ -541,50 +665,58 @@ func runOne(ctx context.Context, pr *PointResult, pt scenario.Point, opt Options
 		opt.live.started.Add(1)
 	}
 	start := time.Now()
-	if out, hit := opt.Cache.outcome(pt.Hash); hit {
-		pr.Outcome = out
+	if opt.Cache.hit(r.rec) {
+		r.flags |= rowOutcome | rowCached
 		cacheHits.Add(1)
-		pr.Cached = true
 	} else {
 		if opt.ProfileGuided && shardsOf(pt.Params) > 1 {
-			profilePoint(ctx, model, pt, opt, pr, cacheHits)
+			profilePoint(ctx, model, pt, opt, r, cacheHits)
 		}
-		out, err := runPoint(ctx, model, pt.Params, opt, pr)
-		if err != nil {
-			pr.Err = err.Error()
-		} else {
-			pr.Outcome = &out
-			if !pr.Degraded {
-				// A degraded outcome is not cached: the hash names the
-				// sharded point, and the rerun's shard counters differ.
-				pr.Outcome = opt.Cache.share(pt.Hash, &out)
-			}
+		out, err := runPoint(ctx, model, pt.Params, opt, r)
+		switch {
+		case err != nil:
+			r.ext().err = err.Error()
+		case r.flags&rowDegraded != 0:
+			// A degraded outcome is not cached: the hash names the
+			// sharded point, and the rerun's shard counters differ.
+			co := newCanonOutcome(&out)
+			r.ext().out = &co
+		default:
+			opt.Cache.share(r.rec, &out)
+			r.flags |= rowOutcome
 		}
 	}
-	if pr.Err == "" && opt.CheckEvery > 0 && pr.Index%opt.CheckEvery == 0 && model.Check != nil {
+	if r.err() == "" && opt.CheckEvery > 0 && idx%opt.CheckEvery == 0 && model.Check != nil {
 		// The verdict is a function of the hash like the outcome: a
 		// kept one is reused, and only a completed check is kept (an
 		// errored one runs again next time).
-		if diff, ok := opt.Cache.verdict(pt.Hash); ok {
-			pr.Checked, pr.CheckDiff = true, diff
-		} else if diff, err := safeCheck(ctx, model, pt.Params, opt); err != nil {
-			pr.Err = fmt.Sprintf("check: %v", err)
-		} else {
-			pr.Checked, pr.CheckDiff = true, diff
-			opt.Cache.keepVerdict(pt.Hash, diff)
+		diff, ok := opt.Cache.verdict(r.rec)
+		if !ok {
+			var err error
+			if diff, err = safeCheck(ctx, model, pt.Params, opt); err != nil {
+				r.ext().err = fmt.Sprintf("check: %v", err)
+			} else {
+				opt.Cache.keepVerdict(r.rec, diff)
+			}
+		}
+		if r.err() == "" {
+			r.flags |= rowChecked
+			if diff != "" {
+				r.ext().checkDiff = diff
+			}
 		}
 	}
-	pr.WallMS = float64(time.Since(start).Microseconds()) / 1000
-	observePoint(opt.Metrics, opt.live, pr, pr.Cached)
+	r.wallMS = float64(time.Since(start).Microseconds()) / 1000
+	observePoint(opt.Metrics, opt.live, r)
 }
 
 // runPoint drives the attempt loop for one canonical point, recording
-// attempt counts and stall diagnostics into pr as it goes.
-func runPoint(ctx context.Context, m scenario.Model, params scenario.Params, opt Options, pr *PointResult) (scenario.Outcome, error) {
-	record := func(err error) {
+// attempt counts and stall diagnostics into r as it goes.
+func runPoint(ctx context.Context, m scenario.Model, params scenario.Params, opt Options, r *row) (scenario.Outcome, error) {
+	noteStall := func(err error) {
 		var se *par.StallError
 		if errors.As(err, &se) {
-			pr.Stall = &se.Diag
+			r.ext().stall = &se.Diag
 		}
 	}
 	attempts := 0
@@ -607,14 +739,14 @@ func runPoint(ctx context.Context, m scenario.Model, params scenario.Params, opt
 		out, err := safeRun(ctx, m, params, opt)
 		if err == nil {
 			if attempts > 1 {
-				pr.Attempts = attempts
+				r.attempts = int32(attempts)
 			}
 			return out, nil
 		}
-		record(err)
+		noteStall(err)
 		lastErr = err
 		if !transient(err) || ctx.Err() != nil {
-			pr.Attempts = attempts
+			r.attempts = int32(attempts)
 			return scenario.Outcome{}, err
 		}
 	}
@@ -626,15 +758,15 @@ func runPoint(ctx context.Context, m scenario.Model, params scenario.Params, opt
 		p1["shards"] = 1
 		attempts++
 		out, err := safeRun(ctx, m, p1, opt)
-		pr.Attempts = attempts
+		r.attempts = int32(attempts)
 		if err == nil {
-			pr.Degraded = true
+			r.flags |= rowDegraded
 			return out, nil
 		}
-		record(err)
+		noteStall(err)
 		return scenario.Outcome{}, fmt.Errorf("%v (degraded rerun also failed: %v)", lastErr, err)
 	}
-	pr.Attempts = attempts
+	r.attempts = int32(attempts)
 	return scenario.Outcome{}, lastErr
 }
 
@@ -675,39 +807,41 @@ func safeCheck(ctx context.Context, m scenario.Model, p scenario.Params, opt Opt
 	return diff, nil
 }
 
-// aggregate folds the per-point reports, iterating in index order so the
-// float mean is reproducible.
-func aggregate(points []PointResult) Aggregate {
-	a := Aggregate{Points: len(points)}
+// aggregate folds the per-point rows, iterating in index order so the
+// float mean is reproducible. It reads the records' scalars and decodes
+// nothing.
+func aggregate(rows []row) Aggregate {
+	a := Aggregate{Points: len(rows)}
 	models := map[string]bool{}
 	var sum float64
 	var n int
-	for i := range points {
-		p := &points[i]
-		models[p.Model] = true
-		if !p.Dedup {
+	for i := range rows {
+		r := &rows[i]
+		models[r.rec.model] = true
+		if r.flags&rowDedup == 0 {
 			a.Unique++
 		}
-		if p.Degraded {
+		if r.flags&rowDegraded != 0 {
 			a.Degraded++
 		}
-		if p.Stall != nil {
+		if r.x != nil && r.x.stall != nil {
 			a.Stalled++
 		}
-		if p.Err != "" {
+		if r.err() != "" {
 			a.Errors++
 			continue
 		}
-		if p.Checked {
+		if r.flags&rowChecked != 0 {
 			a.Checked++
-			if p.CheckDiff != "" {
+			if r.x != nil && r.x.checkDiff != "" {
 				a.CheckFailures++
 			}
 		}
-		if p.Outcome == nil {
+		out := r.outcome()
+		if out == nil {
 			continue
 		}
-		e := p.Outcome.SimEndNS
+		e := out.simEndNS
 		if n == 0 || e < a.MinSimEndNS {
 			a.MinSimEndNS = e
 		}
@@ -716,7 +850,7 @@ func aggregate(points []PointResult) Aggregate {
 		}
 		sum += float64(e)
 		n++
-		a.TotalCtxSwitches += p.Outcome.CtxSwitches
+		a.TotalCtxSwitches += out.ctxSwitches
 	}
 	if n > 0 {
 		a.MeanSimEndNS = sum / float64(n)

@@ -140,9 +140,9 @@ func TestBigMatrixCampaign(t *testing.T) {
 		t.Fatalf("campaign covers %v, want >= 3 workload kinds", res.Aggregate.Models)
 	}
 	if res.Aggregate.Errors != 0 {
-		for _, p := range res.Points {
+		for _, p := range res.Points() {
 			if p.Err != "" {
-				t.Errorf("point %d (%s %v): %s", p.Index, p.Model, p.Params, p.Err)
+				t.Errorf("point %d (%s %s): %s", p.Index, p.Model, p.Params, p.Err)
 			}
 		}
 	}
@@ -171,10 +171,12 @@ func TestDedupAndCache(t *testing.T) {
 	if res.Aggregate.Points != 3 || res.Aggregate.Unique != 2 {
 		t.Fatalf("points/unique = %d/%d, want 3/2", res.Aggregate.Points, res.Aggregate.Unique)
 	}
-	if !res.Points[1].Dedup || res.Points[0].Dedup {
-		t.Errorf("dedup flags wrong: %v %v", res.Points[0].Dedup, res.Points[1].Dedup)
+	points := res.Points()
+	p0, p1 := points[0], points[1]
+	if !p1.Dedup || p0.Dedup {
+		t.Errorf("dedup flags wrong: %v %v", p0.Dedup, p1.Dedup)
 	}
-	if res.Points[1].Outcome == nil || res.Points[1].Outcome.DatesHash != res.Points[0].Outcome.DatesHash {
+	if p1.Outcome == nil || !bytes.Equal(p1.Outcome, p0.Outcome) {
 		t.Error("dedup point did not copy the canonical outcome")
 	}
 	if cache.Len() != 2 {
@@ -211,7 +213,7 @@ func TestPointErrorsReported(t *testing.T) {
 		t.Fatalf("errors = %d, want 1", res.Aggregate.Errors)
 	}
 	var bad, good int
-	for _, p := range res.Points {
+	for _, p := range res.Points() {
 		if p.Err != "" {
 			bad++
 		} else if p.Outcome != nil {

@@ -76,31 +76,41 @@ func (c *CSV) Flush() error {
 // 1-vs-N-worker equality check) the nondeterministic wall-clock fields
 // are stripped, and the bytes depend only on the spec.
 func (r *Results) JSON(w io.Writer, includeTiming bool) error {
-	doc := *r
-	if !includeTiming {
-		doc.Timing = nil
-		doc.Points = make([]PointResult, len(r.Points))
-		copy(doc.Points, r.Points)
-		for i := range doc.Points {
-			canonicalizePoint(&doc.Points[i])
-		}
+	doc := resultsDoc{Name: r.Name, Points: pointRows{r.rows, !includeTiming}, Aggregate: &r.Aggregate}
+	if includeTiming {
+		doc.Timing = r.Timing
 	}
 	return WriteJSON(w, &doc)
 }
 
-// canonicalizePoint strips the timing-telemetry fields from a point
-// report: wall time, attempt counts and the cache provenance all depend
-// on scheduling or on what ran before, not on the spec. Degraded and
-// Stall stay — they are outcome provenance, and healthy runs never set
-// them. Applied by every canonical emitter (JSON, CSV, streaming; the
-// streamed row's encoder skips the same fields instead of zeroing a
-// copy) so the deterministic document stays byte-identical across
-// worker counts AND across restarts.
-func canonicalizePoint(p *PointResult) {
-	p.WallMS = 0
-	p.ProfileWallMS = 0
-	p.Attempts = 0
-	p.Cached = false
+// resultsDoc is the results document's layout.
+type resultsDoc struct {
+	Name      string     `json:"name,omitempty"`
+	Points    pointRows  `json:"points"`
+	Aggregate *Aggregate `json:"aggregate"`
+	Timing    *Timing    `json:"timing,omitempty"`
+}
+
+// pointRows renders a document's rows as one JSON array through the
+// row encoder; canonical leaves the timing telemetry out.
+type pointRows struct {
+	rows      []row
+	canonical bool
+}
+
+func (p pointRows) MarshalJSON() ([]byte, error) {
+	b := []byte{'['}
+	for i := range p.rows {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		v := p.rows[i].view(i)
+		var err error
+		if b, err = v.appendJSON(b, p.canonical); err != nil {
+			return nil, err
+		}
+	}
+	return append(b, ']'), nil
 }
 
 // CSVColumns is the header of the per-point CSV emitted by WriteCSV.
@@ -113,12 +123,16 @@ var CSVColumns = []string{"index", "model", "hash", "sim_end_ns", "ctx_switches"
 // WriteCSV and the streaming results path so the column order cannot
 // drift between them.
 func csvPointRow(c *CSV, p *PointResult, includeTiming bool) error {
+	out, err := p.DecodeOutcome()
+	if err != nil {
+		return err
+	}
 	var simEnd int64
 	var ctx uint64
 	sums, dates := "", ""
-	if p.Outcome != nil {
-		simEnd, ctx, dates = p.Outcome.SimEndNS, p.Outcome.CtxSwitches, p.Outcome.DatesHash
-		for j, s := range p.Outcome.Checksums {
+	if out != nil {
+		simEnd, ctx, dates = out.SimEndNS, out.CtxSwitches, out.DatesHash
+		for j, s := range out.Checksums {
 			if j > 0 {
 				sums += " "
 			}
@@ -135,19 +149,15 @@ func csvPointRow(c *CSV, p *PointResult, includeTiming bool) error {
 	// Placement-cost counters exist only on profile-guided points; zero
 	// everywhere else (the counters themselves are deterministic).
 	var cb, ca, wb, wa uint64
-	if p.Outcome != nil {
-		cb = p.Outcome.Counters["crossings_before"]
-		ca = p.Outcome.Counters["crossings_after"]
-		wb = p.Outcome.Counters["cut_weight_before"]
-		wa = p.Outcome.Counters["cut_weight_after"]
-	}
-	params, err := p.Params.AppendJSON(nil)
-	if err != nil {
-		return err
+	if out != nil {
+		cb = out.Counters["crossings_before"]
+		ca = out.Counters["crossings_after"]
+		wb = out.Counters["cut_weight_before"]
+		wa = out.Counters["cut_weight_after"]
 	}
 	c.Row(p.Index, p.Model, p.Hash, simEnd, ctx, sums, dates,
 		p.Dedup, cached, p.Checked, p.CheckDiff, p.Degraded, p.Stall != nil,
-		attempts, p.Err, wall, profWall, cb, ca, wb, wa, string(params))
+		attempts, p.Err, wall, profWall, cb, ca, wb, wa, string(p.Params))
 	return nil
 }
 
@@ -155,8 +165,9 @@ func csvPointRow(c *CSV, p *PointResult, includeTiming bool) error {
 // unless includeTiming is set.
 func (r *Results) WriteCSV(w io.Writer, includeTiming bool) error {
 	c := NewCSV(w, CSVColumns...)
-	for i := range r.Points {
-		if err := csvPointRow(c, &r.Points[i], includeTiming); err != nil {
+	for i := range r.rows {
+		p := r.rows[i].view(i)
+		if err := csvPointRow(c, &p, includeTiming); err != nil {
 			return err
 		}
 	}
@@ -186,8 +197,12 @@ func (p PointResult) MarshalJSON() ([]byte, error) { return p.appendJSON(nil, fa
 
 // appendJSON appends the point's JSON object: the struct's fields in
 // order, as their tags say, exactly as encoding/json would write them.
-// With canonical set the timing telemetry is left out, as
-// canonicalizePoint zeroes it.
+// Params and Outcome are copied as they are. With canonical set the
+// timing telemetry (wall time, attempt counts, cache provenance — all
+// dependent on scheduling or on what ran before, not on the spec) is
+// left out, so the deterministic document stays byte-identical across
+// worker counts and across restarts. Degraded and Stall stay: they are
+// outcome provenance, and healthy runs never set them.
 func (p *PointResult) appendJSON(b []byte, canonical bool) ([]byte, error) {
 	b = append(b, `{"index":`...)
 	b = strconv.AppendInt(b, int64(p.Index), 10)
@@ -196,13 +211,14 @@ func (p *PointResult) appendJSON(b []byte, canonical bool) ([]byte, error) {
 	b = append(b, `,"hash":`...)
 	b = scenario.AppendJSONString(b, p.Hash)
 	b = append(b, `,"params":`...)
-	b, err := p.Params.AppendJSON(b)
-	if err != nil {
-		return b, err
+	if p.Params == nil {
+		b = append(b, "null"...)
+	} else {
+		b = append(b, p.Params...)
 	}
 	if p.Outcome != nil {
 		b = append(b, `,"outcome":`...)
-		b = p.Outcome.AppendJSON(b)
+		b = append(b, p.Outcome...)
 	}
 	if p.Err != "" {
 		b = append(b, `,"error":`...)
@@ -236,6 +252,7 @@ func (p *PointResult) appendJSON(b []byte, canonical bool) ([]byte, error) {
 	if canonical {
 		return append(b, '}'), nil
 	}
+	var err error
 	if p.Attempts != 0 {
 		b = append(b, `,"attempts":`...)
 		b = strconv.AppendInt(b, int64(p.Attempts), 10)

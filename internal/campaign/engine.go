@@ -123,18 +123,15 @@ func (e *Engine) Submit(set scenario.Set) (*Job, error) {
 func (e *Engine) submit(set scenario.Set, id string, resumed bool) (*Job, error) {
 	opts := e.opts
 	opts.fill()
-	points, err := expandChecked(set, opts.MaxPoints)
+	points, err := expand(set, opts)
 	if err != nil {
 		return nil, err
 	}
-	// Every job naming a hash shares the cache's one Params map (and
-	// hash string) for it instead of retaining its own expansion.
-	unique := map[string]bool{}
-	for i := range points {
-		p := &points[i]
-		p.Hash, p.Params = opts.Cache.intern(p.Hash, p.Params)
-		unique[p.Hash] = true
-	}
+	// Every job naming a hash shares the cache's one record for it; the
+	// expansion itself is dropped once the job settles.
+	recs := opts.Cache.intern(points)
+	stream := newPointStream(recs)
+	unique := len(stream.byRec)
 
 	// Build the job completely — progress plumbing included — before it
 	// becomes visible to Status() readers via the job table.
@@ -148,7 +145,7 @@ func (e *Engine) submit(set scenario.Set, id string, resumed bool) (*Job, error)
 	j := &Job{
 		name:    set.Name,
 		points:  len(points),
-		total:   len(unique),
+		total:   unique,
 		resumed: resumed,
 		state:   JobRunning,
 		done:    make(chan struct{}),
@@ -158,18 +155,19 @@ func (e *Engine) submit(set scenario.Set, id string, resumed bool) (*Job, error)
 			return finished
 		},
 		live:   &liveStats{startedAt: time.Now()},
-		stream: newPointStream(points),
+		stream: stream,
 	}
 	opts.live = j.live
 	st := opts.Store
-	opts.onPoint = func(pr PointResult) {
+	opts.onPoint = func(idx int, r row) {
 		// Journal deterministic outcomes only: errors carry no outcome,
 		// degraded outcomes are not cacheable (the hash names the
-		// sharded point), and cache hits are already in the log.
-		if st != nil && pr.Err == "" && pr.Outcome != nil && !pr.Degraded && !pr.Cached {
-			st.PointCompleted(pr.Hash, pr.Outcome)
+		// sharded point, and the row's outcome is not the record's),
+		// and cache hits are already in the log.
+		if st != nil && r.err() == "" && r.flags&(rowOutcome|rowCached) == rowOutcome {
+			st.PointCompletedJSON(r.rec.hash, r.rec.out.js)
 		}
-		j.stream.publish(pr)
+		j.stream.publish(idx, r)
 	}
 
 	e.mu.Lock()
@@ -187,7 +185,7 @@ func (e *Engine) submit(set scenario.Set, id string, resumed bool) (*Job, error)
 		if st != nil {
 			spec, err := json.Marshal(set)
 			if err == nil {
-				err = st.JobSubmitted(j.id, set.Name, len(points), len(unique), spec)
+				err = st.JobSubmitted(j.id, set.Name, len(points), unique, spec)
 			}
 			if err != nil {
 				// A journal that cannot record the submission cannot
@@ -214,7 +212,7 @@ func (e *Engine) submit(set scenario.Set, id string, resumed bool) (*Job, error)
 	go func() {
 		defer e.wg.Done()
 		defer jcancel()
-		res := runPoints(jctx, set.Name, points, opts)
+		res := runPoints(jctx, set.Name, points, recs, opts)
 		if opts.Metrics != nil {
 			opts.Metrics.ActiveCampaigns.Add(-1)
 		}

@@ -95,11 +95,13 @@ type Live struct {
 
 // observePoint folds one finished canonical point into the shared sink
 // and the job's live counters.
-func observePoint(m *Metrics, ls *liveStats, pr *PointResult, cacheHit bool) {
-	failed := pr.Err != ""
+func observePoint(m *Metrics, ls *liveStats, r *row) {
+	failed := r.err() != ""
+	degraded := r.flags&rowDegraded != 0
+	cacheHit := r.flags&rowCached != 0
 	retries := 0
-	if pr.Attempts > 1 {
-		retries = pr.Attempts - 1
+	if r.attempts > 1 {
+		retries = int(r.attempts) - 1
 	}
 	if m != nil {
 		if failed {
@@ -107,7 +109,7 @@ func observePoint(m *Metrics, ls *liveStats, pr *PointResult, cacheHit bool) {
 		} else {
 			m.PointsCompleted.Inc()
 		}
-		if pr.Degraded {
+		if degraded {
 			m.PointsDegraded.Inc()
 		}
 		if cacheHit {
@@ -121,7 +123,7 @@ func observePoint(m *Metrics, ls *liveStats, pr *PointResult, cacheHit bool) {
 		} else {
 			ls.completed.Add(1)
 		}
-		if pr.Degraded {
+		if degraded {
 			ls.degraded.Add(1)
 		}
 		if cacheHit {

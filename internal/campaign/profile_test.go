@@ -72,38 +72,41 @@ func TestProfileGuidedCampaign(t *testing.T) {
 
 	base := run(1, false)
 	guided := run(1, true)
-	if len(base.Points) != len(guided.Points) {
-		t.Fatalf("point counts differ: %d vs %d", len(base.Points), len(guided.Points))
+	bps, gps := base.Points(), guided.Points()
+	if len(bps) != len(gps) {
+		t.Fatalf("point counts differ: %d vs %d", len(bps), len(gps))
 	}
 	rewritten := 0
-	for i := range guided.Points {
-		bp, gp := &base.Points[i], &guided.Points[i]
+	for i := range gps {
+		gp := &gps[i]
 		if gp.Err != "" {
 			t.Fatalf("point %d (%s): %s", i, gp.Model, gp.Err)
 		}
+		_, bout := decodePoint(t, &bps[i])
+		params, out := decodePoint(t, gp)
 		// Placement never changes the dated behaviour.
-		if bp.Outcome.DatesHash != gp.Outcome.DatesHash {
-			t.Errorf("point %d (%s %v): dates_hash %s != unguided %s",
-				i, gp.Model, gp.Params, gp.Outcome.DatesHash, bp.Outcome.DatesHash)
+		if bout.DatesHash != out.DatesHash {
+			t.Errorf("point %d (%s %s): dates_hash %s != unguided %s",
+				i, gp.Model, gp.Params, out.DatesHash, bout.DatesHash)
 		}
-		if part, ok := gp.Params["partitioner"]; ok && part == "profiled" {
+		if part, ok := params["partitioner"]; ok && part == "profiled" {
 			rewritten++
-			if shardsOf(gp.Params) < 2 {
+			if shardsOf(params) < 2 {
 				t.Errorf("point %d: single-kernel point rewritten", i)
 			}
-			cb, okc := gp.Outcome.Counters["crossings_before"]
+			cb, okc := out.Counters["crossings_before"]
 			if !okc {
-				t.Errorf("point %d: profiled point has no placement counters: %v", i, gp.Outcome.Counters)
+				t.Errorf("point %d: profiled point has no placement counters: %v", i, out.Counters)
 				continue
 			}
-			if ca := gp.Outcome.Counters["crossings_after"]; ca > cb {
+			if ca := out.Counters["crossings_after"]; ca > cb {
 				t.Errorf("point %d: crossings_after %d > crossings_before %d", i, ca, cb)
 			}
-			if wa, wb := gp.Outcome.Counters["cut_weight_after"], gp.Outcome.Counters["cut_weight_before"]; wa > wb {
+			if wa, wb := out.Counters["cut_weight_after"], out.Counters["cut_weight_before"]; wa > wb {
 				t.Errorf("point %d: cut_weight_after %d > cut_weight_before %d", i, wa, wb)
 			}
-		} else if shardsOf(gp.Params) > 1 {
-			t.Errorf("point %d (%s): sharded point not rewritten: %v", i, gp.Model, gp.Params)
+		} else if shardsOf(params) > 1 {
+			t.Errorf("point %d (%s): sharded point not rewritten: %s", i, gp.Model, gp.Params)
 		}
 	}
 	if rewritten == 0 {
@@ -148,11 +151,15 @@ func TestProfilePointSeedsCache(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Points[0].Err != "" {
-		t.Fatal(res.Points[0].Err)
+	p := res.Points()[0]
+	if p.Err != "" {
+		t.Fatal(p.Err)
 	}
 	// The twin's hash: the same point at shards=1 without a partitioner.
-	params := res.Points[0].Params.Clone()
+	params, err := p.DecodeParams()
+	if err != nil {
+		t.Fatal(err)
+	}
 	params["shards"] = 1
 	delete(params, "partitioner")
 	hash, err := scenario.HashPoint("netlist", params)
@@ -162,4 +169,19 @@ func TestProfilePointSeedsCache(t *testing.T) {
 	if _, hit := cache.Get(hash); !hit {
 		t.Fatalf("measurement twin %s not in the shared cache (%d entries)", hash, cache.Len())
 	}
+}
+
+// decodePoint decodes a point's params and outcome; a point without an
+// outcome fails the test.
+func decodePoint(t *testing.T, p *PointResult) (scenario.Params, *scenario.Outcome) {
+	t.Helper()
+	params, err := p.DecodeParams()
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, err := p.DecodeOutcome()
+	if err != nil || out == nil {
+		t.Fatalf("point %d: outcome %v, %v", p.Index, out, err)
+	}
+	return params, out
 }

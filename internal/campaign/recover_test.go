@@ -84,7 +84,7 @@ func TestEngineJournalAndRecover(t *testing.T) {
 		t.Errorf("resumed run recomputed points: timing = %+v, want %d cache hits",
 			res2.Timing, res1.Aggregate.Unique)
 	}
-	for _, p := range res2.Points {
+	for _, p := range res2.Points() {
 		if !p.Dedup && !p.Cached {
 			t.Errorf("point %d (%s) not served from the recovered cache", p.Index, p.Hash)
 		}
@@ -127,13 +127,13 @@ func TestRecoverInterruptedJob(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := st.JobSubmitted("c7", set.Name, len(clean.Points), clean.Aggregate.Unique, spec); err != nil {
+	if err := st.JobSubmitted("c7", set.Name, clean.Aggregate.Points, clean.Aggregate.Unique, spec); err != nil {
 		t.Fatal(err)
 	}
 	// Journal only the first unique point: the crash "happened" before
 	// the rest completed.
-	first := clean.Points[0]
-	if err := st.PointCompleted(first.Hash, first.Outcome); err != nil {
+	first := clean.Points()[0]
+	if err := st.PointCompletedJSON(first.Hash, first.Outcome); err != nil {
 		t.Fatal(err)
 	}
 	if err := st.Close(); err != nil {
@@ -306,11 +306,12 @@ func TestStreamPointsMatchFinalDocument(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(streamed) != len(res.Points) {
-		t.Fatalf("streamed %d points, document has %d", len(streamed), len(res.Points))
+	if len(streamed) != res.Aggregate.Points {
+		t.Fatalf("streamed %d points, document has %d", len(streamed), res.Aggregate.Points)
 	}
+	points := res.Points()
 	for i := range streamed {
-		want := res.Points[i]
+		want := points[i]
 		canonicalizePoint(&want)
 		a, _ := json.Marshal(streamed[i])
 		b, _ := json.Marshal(want)

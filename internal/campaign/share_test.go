@@ -3,9 +3,9 @@ package campaign
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
-	"reflect"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -60,13 +60,22 @@ func init() {
 
 // sweepSet is the bench's 168-point sweep shape (96 pipeline + 72 kpn
 // points over 8 seeds), decoded from JSON as simd decodes it.
-func sweepSet(t *testing.T) scenario.Set {
+func sweepSet(t *testing.T) scenario.Set { return sweepSetFrom(t, 1) }
+
+// sweepSetFrom is the sweep shape over seeds first..first+7: Sets with
+// disjoint seed ranges share no point.
+func sweepSetFrom(t *testing.T, first int) scenario.Set {
 	t.Helper()
-	set, err := scenario.ParseSet([]byte(`{"name":"sweep","specs":[
+	seeds := make([]int, 8)
+	for i := range seeds {
+		seeds[i] = first + i
+	}
+	seedsJSON, _ := json.Marshal(seeds)
+	set, err := scenario.ParseSet([]byte(fmt.Sprintf(`{"name":"sweep","specs":[
 		{"model":"pipeline","params":{"blocks":4,"words_per_block":100},
-		 "matrix":{"depth":[1,2,4,16,64,256],"mode":["TDless","TDfull"],"seed":[1,2,3,4,5,6,7,8]}},
+		 "matrix":{"depth":[1,2,4,16,64,256],"mode":["TDless","TDfull"],"seed":%[1]s}},
 		{"model":"kpn","params":{"tokens":64},
-		 "matrix":{"stages":[2,4,8],"depth":[1,4,16],"seed":[1,2,3,4,5,6,7,8]}}]}`))
+		 "matrix":{"stages":[2,4,8],"depth":[1,4,16],"seed":%[1]s}}]}`, seedsJSON)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,30 +125,36 @@ func retainedHeap() uint64 {
 }
 
 // TestWarmJobsShareOutcomes: re-posting a Set shares, not copies — every
-// job's row for a hash points at the cache's one Outcome and the one
-// interned Params map, the documents stay byte-identical, and a settled
-// warm job of the bench's sweep shape retains at most 64 KB.
+// job's row for a hash points at the cache's one record, and its views at
+// the record's params and outcome bytes, the documents stay
+// byte-identical, and a settled warm job of the bench's sweep shape
+// retains at most 16 KB.
 func TestWarmJobsShareOutcomes(t *testing.T) {
 	e := NewEngine(Options{Workers: 2})
 	defer e.Close()
 	set := sweepSet(t)
 	j0, res0 := settle(t, e, set)
-	if res0.Aggregate.Errors != 0 || len(res0.Points) != 168 {
-		t.Fatalf("first job: %d points, %d errors", len(res0.Points), res0.Aggregate.Errors)
+	if res0.Aggregate.Errors != 0 || len(res0.rows) != 168 {
+		t.Fatalf("first job: %d points, %d errors", len(res0.rows), res0.Aggregate.Errors)
 	}
 	doc0, rows0 := canonicalJSON(t, res0), streamRows(t, j0)
+	points0 := res0.Points()
 	for k := 1; k <= 3; k++ {
 		j, res := settle(t, e, set)
+		points := res.Points()
 		if res.Timing.CacheHits != res.Aggregate.Unique {
 			t.Errorf("re-post %d: %d cache hits, want %d", k, res.Timing.CacheHits, res.Aggregate.Unique)
 		}
-		for i, p := range res.Points {
-			p0 := res0.Points[i]
-			if p.Outcome != p0.Outcome {
-				t.Errorf("re-post %d, point %d: outcome is a copy, not the shared record", k, i)
+		for i := range res.rows {
+			if res.rows[i].rec != res0.rows[i].rec {
+				t.Errorf("re-post %d, point %d: row holds a copy, not the shared record", k, i)
 			}
-			if reflect.ValueOf(p.Params).Pointer() != reflect.ValueOf(p0.Params).Pointer() {
-				t.Errorf("re-post %d, point %d: params map is a copy, not the interned one", k, i)
+			p, p0 := points[i], points0[i]
+			if &p.Outcome[0] != &p0.Outcome[0] {
+				t.Errorf("re-post %d, point %d: outcome bytes are a copy, not the record's", k, i)
+			}
+			if &p.Params[0] != &p0.Params[0] {
+				t.Errorf("re-post %d, point %d: params bytes are a copy, not the record's", k, i)
 			}
 		}
 		if doc := canonicalJSON(t, res); !bytes.Equal(doc, doc0) {
@@ -150,7 +165,7 @@ func TestWarmJobsShareOutcomes(t *testing.T) {
 		}
 	}
 
-	const jobs, budget = 100, 64 << 10
+	const jobs, budget = 100, 16 << 10
 	before := retainedHeap()
 	for k := 0; k < jobs; k++ {
 		settle(t, e, set)
@@ -160,6 +175,35 @@ func TestWarmJobsShareOutcomes(t *testing.T) {
 	t.Logf("retained heap per settled warm job: %.1f KB", float64(perJob)/1024)
 	if perJob > budget {
 		t.Errorf("each settled warm job retains %d bytes, budget %d", perJob, budget)
+	}
+}
+
+// TestColdRecordsCacheFootprint: a cold point's record holds canonical
+// bytes, not decoded maps, and its settled job keeps a compact row, so
+// each fresh point of the bench's sweep shape retains at most 600 bytes
+// (record, its bytes, its table slot and the job's row).
+func TestColdRecordsCacheFootprint(t *testing.T) {
+	e := NewEngine(Options{Workers: 2, CheckEvery: 16})
+	defer e.Close()
+	const first = 1 << 20 // the bench's seed range
+	settle(t, e, sweepSetFrom(t, first))
+
+	const sets, budget = 20, 600
+	before := retainedHeap()
+	points := 0
+	for k := 1; k <= sets; k++ {
+		_, res := settle(t, e, sweepSetFrom(t, first+8*k))
+		if res.Aggregate.Errors != 0 || res.Timing.CacheHits != 0 {
+			t.Fatalf("set %d: %d errors, %d cache hits; want fresh, healthy points",
+				k, res.Aggregate.Errors, res.Timing.CacheHits)
+		}
+		points += res.Aggregate.Unique
+	}
+	after := retainedHeap()
+	perPoint := (int64(after) - int64(before)) / int64(points)
+	t.Logf("retained heap per cold point: %d B over %d points", perPoint, points)
+	if perPoint > budget {
+		t.Errorf("each cold point retains %d bytes, budget %d", perPoint, budget)
 	}
 }
 

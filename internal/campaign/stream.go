@@ -4,8 +4,6 @@ import (
 	"context"
 	"fmt"
 	"sync"
-
-	"repro/internal/scenario"
 )
 
 // pointStream publishes per-point results in expansion order while the
@@ -19,56 +17,50 @@ import (
 // settled job keeps one row array.
 type pointStream struct {
 	// n is the expanded point count. It never changes, so NumPoints and
-	// StreamPoint read it without the lock (len(pts) changes on settle).
+	// StreamPoint read it without the lock (len(rows) changes on settle).
 	n int
 
 	mu      sync.Mutex
-	pts     []PointResult // live rows; the document's rows once settled
-	ready   []bool        // nil once settled
+	rows    []row  // live rows; the document's rows once settled
+	ready   []bool // nil once settled
 	settled bool
 	changed chan struct{} // closed and replaced on every publish
 
-	byHash map[string][]int // nil once settled
+	byRec map[*record][]int // nil once settled
 }
 
-// newPointStream builds the skeleton from the expanded points: identity
-// fields and the dedup flags are known up front, outcomes arrive later.
-func newPointStream(points []scenario.Point) *pointStream {
+// newPointStream builds the skeleton from the points' records: identity
+// and the dedup flags are known up front, outcomes arrive later.
+func newPointStream(recs []*record) *pointStream {
 	s := &pointStream{
-		n:       len(points),
-		pts:     make([]PointResult, len(points)),
-		ready:   make([]bool, len(points)),
+		n:       len(recs),
+		rows:    make([]row, len(recs)),
+		ready:   make([]bool, len(recs)),
 		changed: make(chan struct{}),
-		byHash:  map[string][]int{},
+		byRec:   map[*record][]int{},
 	}
-	for i, p := range points {
-		s.pts[i] = PointResult{Index: i, Model: p.Model, Hash: p.Hash, Params: p.Params}
-		if len(s.byHash[p.Hash]) > 0 {
-			s.pts[i].Dedup = true
+	for i, r := range recs {
+		s.rows[i].rec = r
+		if len(s.byRec[r]) > 0 {
+			s.rows[i].flags = rowDedup
 		}
-		s.byHash[p.Hash] = append(s.byHash[p.Hash], i)
+		s.byRec[r] = append(s.byRec[r], i)
 	}
 	return s
 }
 
-// publish fans one canonical completion out to every index sharing its
-// hash. Called from worker goroutines.
-func (s *pointStream) publish(pr PointResult) {
+// publish fans canonical row idx out to every index sharing its record,
+// applying the dedup-copy rule of runPoints. Called from worker
+// goroutines.
+func (s *pointStream) publish(idx int, r row) {
 	s.mu.Lock()
-	for _, idx := range s.byHash[pr.Hash] {
-		p := &s.pts[idx]
-		if idx == pr.Index {
-			*p = pr
+	for _, i := range s.byRec[r.rec] {
+		if i == idx {
+			s.rows[i] = r
 		} else {
-			// The dedup-copy rule of runPoints: outcome and provenance
-			// copy, per-execution telemetry (Checked, Attempts, WallMS,
-			// Cached) does not.
-			p.Outcome = pr.Outcome
-			p.Err = pr.Err
-			p.Degraded = pr.Degraded
-			p.Stall = pr.Stall
+			s.rows[i].copyOutcome(&r)
 		}
-		s.ready[idx] = true
+		s.ready[i] = true
 	}
 	ch := s.changed
 	s.changed = make(chan struct{})
@@ -81,7 +73,7 @@ func (s *pointStream) publish(pr PointResult) {
 func (s *pointStream) finish(res *Results) {
 	s.mu.Lock()
 	s.settled = true
-	s.pts, s.ready, s.byHash = res.Points, nil, nil
+	s.rows, s.ready, s.byRec = res.rows, nil, nil
 	ch := s.changed
 	s.changed = make(chan struct{})
 	s.mu.Unlock()
@@ -130,7 +122,7 @@ func (j *Job) StreamPoint(ctx context.Context, i int) (PointResult, error) {
 		// index a cancelled campaign never published (it was marked in
 		// the final document only).
 		if s.settled || s.ready[i] {
-			pr := s.pts[i]
+			pr := s.rows[i].view(i)
 			s.mu.Unlock()
 			return pr, nil
 		}

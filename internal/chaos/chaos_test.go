@@ -251,7 +251,7 @@ func TestDegradedRerunMatchesReference(t *testing.T) {
 	if err != nil {
 		t.Fatalf("campaign: %v", err)
 	}
-	pt := res.Points[0]
+	pt := res.Points()[0]
 	if pt.Err != "" {
 		t.Fatalf("point failed outright: %s", pt.Err)
 	}
@@ -272,9 +272,17 @@ func TestDegradedRerunMatchesReference(t *testing.T) {
 	if err != nil {
 		t.Fatalf("reference campaign: %v", err)
 	}
-	want := ref.Points[0].Outcome.DatesHash
-	if got := pt.Outcome.DatesHash; got != want {
-		t.Errorf("degraded dates_hash %s, want reference %s", got, want)
+	refPt := ref.Points()[0]
+	got, err := pt.DecodeOutcome()
+	if err != nil || got == nil {
+		t.Fatalf("degraded outcome %v, %v", got, err)
+	}
+	want, err := refPt.DecodeOutcome()
+	if err != nil || want == nil {
+		t.Fatalf("reference outcome %v, %v", want, err)
+	}
+	if got.DatesHash != want.DatesHash {
+		t.Errorf("degraded dates_hash %s, want reference %s", got.DatesHash, want.DatesHash)
 	}
 }
 
@@ -308,8 +316,12 @@ func TestDeadlineStorm(t *testing.T) {
 	if res.Aggregate.Stalled != 2 {
 		t.Errorf("stalled = %d, want 2", res.Aggregate.Stalled)
 	}
-	for _, p := range res.Points {
-		if w, _ := p.Params["wedge"].(bool); w {
+	for _, p := range res.Points() {
+		params, err := p.DecodeParams()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if w, _ := params["wedge"].(bool); w {
 			if p.Err == "" || p.Stall == nil {
 				t.Errorf("wedged point %d: err=%q stall=%v, want stall failure", p.Index, p.Err, p.Stall)
 			}
@@ -343,7 +355,7 @@ func TestCancellationPartialResults(t *testing.T) {
 		t.Fatalf("campaign: %v", err)
 	}
 	var okPts, cancelled int
-	for _, p := range res.Points {
+	for _, p := range res.Points() {
 		switch {
 		case p.Err == "" && p.Outcome != nil:
 			okPts++
@@ -353,6 +365,6 @@ func TestCancellationPartialResults(t *testing.T) {
 	}
 	if okPts == 0 || cancelled == 0 {
 		t.Errorf("want both finished and cancelled points, got %d finished, %d cancelled of %d",
-			okPts, cancelled, len(res.Points))
+			okPts, cancelled, res.Aggregate.Points)
 	}
 }

@@ -261,7 +261,7 @@ func (s *Store) commitLocked() {
 	}
 }
 
-// append frames and buffers one record and rings the commit doorbell.
+// append encodes one record's body and buffers the record.
 func (s *Store) append(typ byte, body any) error {
 	if s == nil {
 		return nil
@@ -273,6 +273,13 @@ func (s *Store) append(typ byte, body any) error {
 	payload := make([]byte, 0, 1+len(js))
 	payload = append(payload, typ)
 	payload = append(payload, js...)
+	return s.write(payload)
+}
+
+// write frames and buffers one record payload (type byte + JSON body)
+// and rings the commit doorbell.
+func (s *Store) write(payload []byte) error {
+	typ := payload[0]
 	var hdr [headerBytes]byte
 	binary.LittleEndian.PutUint32(hdr[0:], uint32(len(payload)))
 	binary.LittleEndian.PutUint32(hdr[4:], crc32.Checksum(payload, castagnoli))
@@ -337,7 +344,36 @@ func (s *Store) JobSubmitted(id, name string, points, total int, spec []byte) er
 // canonical scenario hash. Recovery feeds these to the cross-restart
 // cache, so journaled points are never recomputed.
 func (s *Store) PointCompleted(hash string, out *scenario.Outcome) error {
-	return s.append(recPointCompleted, &pointCompletedBody{Hash: hash, Outcome: out})
+	if s == nil {
+		return nil
+	}
+	var js []byte
+	if out != nil {
+		js = out.AppendJSON(nil)
+	}
+	return s.PointCompletedJSON(hash, js)
+}
+
+// PointCompletedJSON is PointCompleted for an outcome given as its
+// canonical JSON (scenario.Outcome.AppendJSON), as the campaign cache
+// holds it. The body is appended from the bytes as they are — exactly
+// what encoding/json writes for pointCompletedBody — with no reflective
+// encoding.
+func (s *Store) PointCompletedJSON(hash string, outcome []byte) error {
+	if s == nil {
+		return nil
+	}
+	p := make([]byte, 0, 1+len(`{"hash":"","outcome":}`)+len(hash)+len(outcome))
+	p = append(p, recPointCompleted)
+	p = append(p, `{"hash":`...)
+	p = scenario.AppendJSONString(p, hash)
+	p = append(p, `,"outcome":`...)
+	if outcome == nil {
+		p = append(p, "null"...)
+	} else {
+		p = append(p, outcome...)
+	}
+	return s.write(append(p, '}'))
 }
 
 // JobFinished journals a campaign that completed its results document.

@@ -1,6 +1,8 @@
 package store
 
 import (
+	"encoding/binary"
+	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -414,5 +416,62 @@ func TestDuplicateSubmissionIsError(t *testing.T) {
 		t.Fatal("Open accepted a duplicate submission record")
 	} else if !strings.Contains(err.Error(), "duplicate submission") {
 		t.Fatalf("error = %v", err)
+	}
+}
+
+// TestPointCompletedBytes pins the point-completed record body, appended
+// from the outcome's canonical bytes, to encoding/json's encoding of the
+// record struct recovery decodes; PointCompleted and PointCompletedJSON
+// write the same record.
+func TestPointCompletedBytes(t *testing.T) {
+	cases := []struct {
+		name string
+		hash string
+		out  scenario.Outcome
+	}{
+		{"counters", "0123456789abcdef", scenario.Outcome{SimEndNS: 558, CtxSwitches: 224,
+			Checksums: []uint64{5324659970872171093}, DatesHash: "2:5c8c13fc7da60f1b",
+			Counters: map[string]uint64{"words": 50, "blocks": 2, "Shards": 1, "bus_accesses": 1<<64 - 1}}},
+		{"checksums", "h1", scenario.Outcome{SimEndNS: 1, Checksums: []uint64{0, 7, 1 << 63, 1<<64 - 1}}},
+		{"omitted", "h2", scenario.Outcome{}},
+		{"escaped", "h<&>\"3\"", scenario.Outcome{SimEndNS: -5, DatesHash: "<a&b>\u2028caf\u00e9\x01\"",
+			Counters: map[string]uint64{"<k>": 1}}},
+	}
+	dir := t.TempDir()
+	s, _, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range cases {
+		if err := s.PointCompleted(c.hash, &c.out); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.PointCompletedJSON(c.hash, c.out.AppendJSON(nil)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(filepath.Join(dir, "00000001.wal"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range cases {
+		want, err := json.Marshal(pointCompletedBody{Hash: c.hash, Outcome: &c.out})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, method := range []string{"PointCompleted", "PointCompletedJSON"} {
+			n := int(binary.LittleEndian.Uint32(data))
+			payload := data[headerBytes : headerBytes+n]
+			data = data[headerBytes+n:]
+			if payload[0] != recPointCompleted || string(payload[1:]) != string(want) {
+				t.Errorf("%s, %s: record %q\nwant type %d body %s", c.name, method, payload, recPointCompleted, want)
+			}
+		}
+	}
+	if len(data) != 0 {
+		t.Errorf("%d bytes past the last record", len(data))
 	}
 }
