@@ -96,32 +96,19 @@ type Config struct {
 	IRQLine int
 }
 
-// Accel is one hardware accelerator: a decoupled thread plus its register
-// file.
+// Accel is one hardware accelerator: a decoupled thread running a stream
+// kernel, controlled through its register file.
 type Accel struct {
-	k    *sim.Kernel
-	name string
-	cfg  Config
+	controller
+	cfg Config
 
-	regs  *bus.RegisterFile
-	start *sim.Event
-
-	pendingJobs int
-	busy        bool
-	jobsDone    uint32
-	produced    int // total words generated (Generator word index)
+	produced int // total words generated (Generator word index)
 
 	// Checksum accumulates everything a Sink consumed.
 	checksum uint64
-	// JobDates records the accelerator's local date at each job
-	// completion: the timing-accuracy witness compared across FIFO
-	// implementations.
-	jobDates []sim.Time
 
 	// buf is the bulk-transfer staging buffer of the stream endpoints.
 	buf []uint32
-
-	proc *sim.Process
 }
 
 // New creates an accelerator and registers its thread process.
@@ -141,61 +128,31 @@ func New(k *sim.Kernel, name string, cfg Config) *Accel {
 	if len(cfg.Taps) == 0 {
 		cfg.Taps = []uint32{1, 2, 3, 2, 1}
 	}
-	a := &Accel{
-		k:     k,
-		name:  name,
-		cfg:   cfg,
-		regs:  bus.NewRegisterFile(NumRegs, sim.NS),
-		start: sim.NewEvent(k, name+".start"),
-	}
-	a.regs.OnWrite = func(p *sim.Process, idx int, v uint32) bool {
-		if idx == RegCtrl && v == 1 {
-			a.pendingJobs++
-			a.start.Notify()
-			return false
-		}
-		return true
-	}
-	a.regs.OnRead = func(p *sim.Process, idx int) (uint32, bool) {
-		switch idx {
-		case RegStatus:
-			if a.busy || a.pendingJobs > 0 {
-				return 1, true
-			}
-			return 0, true
-		case RegJobsDone:
-			return a.jobsDone, true
-		case RegInLevel:
-			if a.cfg.In == nil {
-				return 0, true
-			}
-			return uint32(a.cfg.In.Size()), true
-		case RegOutLevel:
-			if a.cfg.Out == nil {
-				return 0, true
-			}
-			return uint32(a.cfg.Out.Size()), true
-		}
-		return 0, false
-	}
-	a.proc = k.Thread(name, a.run)
+	a := &Accel{cfg: cfg}
+	a.init(k, name, NumRegs, RegStatus, RegJobsDone, cfg.IRQ, cfg.IRQLine, a.level)
+	k.Thread(name, a.run)
 	return a
 }
 
-// Name returns the accelerator name.
-func (a *Accel) Name() string { return a.name }
-
-// Regs returns the register file to map onto a bus.
-func (a *Accel) Regs() *bus.RegisterFile { return a.regs }
+// level serves the live FIFO-level registers (monitor reads).
+func (a *Accel) level(idx int) (uint32, bool) {
+	switch idx {
+	case RegInLevel:
+		if a.cfg.In == nil {
+			return 0, true
+		}
+		return uint32(a.cfg.In.Size()), true
+	case RegOutLevel:
+		if a.cfg.Out == nil {
+			return 0, true
+		}
+		return uint32(a.cfg.Out.Size()), true
+	}
+	return 0, false
+}
 
 // Checksum returns the Sink checksum.
 func (a *Accel) Checksum() uint64 { return a.checksum }
-
-// JobDates returns the local completion date of every finished job.
-func (a *Accel) JobDates() []sim.Time { return a.jobDates }
-
-// JobsDone returns the number of completed jobs.
-func (a *Accel) JobsDone() uint32 { return a.jobsDone }
 
 // burstChunk is the staging-buffer size (words) the pure stream endpoints
 // (Generator, Sink) move per bulk transfer. Chunking is timing-neutral:
@@ -204,38 +161,13 @@ func (a *Accel) JobsDone() uint32 { return a.jobsDone }
 // loop at any chunk size.
 const burstChunk = 64
 
-// run is the accelerator thread: wait for a start command, stream one
-// job's worth of words through the kernel, raise done, repeat forever (the
-// process parks when the simulation has no more work for it).
+// run is the accelerator thread: the controller's job loop over this
+// accelerator's stream kernel.
 func (a *Accel) run(p *sim.Process) {
 	if a.cfg.Kind == Generator || a.cfg.Kind == Sink {
 		a.buf = make([]uint32, burstChunk)
 	}
-	for {
-		for a.pendingJobs == 0 {
-			// Synchronize before parking: a blocked accelerator
-			// must not hold a stale local date across an idle
-			// period (commands arrive at global time). A start
-			// command may land while we are inside Sync — its
-			// notification would be lost — so re-check the
-			// condition after synchronizing, exactly like the
-			// Smart FIFO's blocking loops.
-			if !p.Synchronized() {
-				p.Sync()
-				continue
-			}
-			p.WaitEvent(a.start)
-		}
-		a.pendingJobs--
-		a.busy = true
-		a.job(p, int(a.regs.Get(RegWords)))
-		a.busy = false
-		a.jobsDone++
-		a.jobDates = append(a.jobDates, p.LocalTime())
-		if a.cfg.IRQ != nil {
-			a.cfg.IRQ.Raise(a.cfg.IRQLine)
-		}
-	}
+	a.serve(p, a.job)
 }
 
 // job processes n input words (or produces n words for a Generator).

@@ -67,19 +67,8 @@ type DMAConfig struct {
 // memory-mapped half of the SoC (decoupled with a quantum keeper, §II-A)
 // to the FIFO-based half (decoupled with Smart FIFOs, §III).
 type DMA struct {
-	k    *sim.Kernel
-	name string
-	cfg  DMAConfig
-
-	regs  *bus.RegisterFile
-	start *sim.Event
-
-	pendingJobs int
-	busy        bool
-	jobsDone    uint32
-	jobDates    []sim.Time
-
-	proc *sim.Process
+	controller
+	cfg DMAConfig
 }
 
 // NewDMA creates a DMA engine and registers its thread process.
@@ -90,65 +79,18 @@ func NewDMA(k *sim.Kernel, name string, cfg DMAConfig) *DMA {
 	if cfg.ChunkWords <= 0 {
 		cfg.ChunkWords = 16
 	}
-	d := &DMA{
-		k:     k,
-		name:  name,
-		cfg:   cfg,
-		regs:  bus.NewRegisterFile(DMANumRegs, sim.NS),
-		start: sim.NewEvent(k, name+".start"),
-	}
-	d.regs.OnWrite = func(p *sim.Process, idx int, v uint32) bool {
-		if idx == DMARegCtrl && v == 1 {
-			d.pendingJobs++
-			d.start.Notify()
-			return false
-		}
-		return true
-	}
-	d.regs.OnRead = func(p *sim.Process, idx int) (uint32, bool) {
-		switch idx {
-		case DMARegStatus:
-			if d.busy || d.pendingJobs > 0 {
-				return 1, true
-			}
-			return 0, true
-		case DMARegJobsDone:
-			return d.jobsDone, true
-		}
-		return 0, false
-	}
-	d.proc = k.Thread(name, d.run)
+	d := &DMA{cfg: cfg}
+	d.init(k, name, DMANumRegs, DMARegStatus, DMARegJobsDone, cfg.IRQ, cfg.IRQLine, nil)
+	k.Thread(name, d.run)
 	return d
 }
 
-// Name returns the engine name.
-func (d *DMA) Name() string { return d.name }
-
-// Regs returns the register file to map onto a bus.
-func (d *DMA) Regs() *bus.RegisterFile { return d.regs }
-
-// JobsDone returns the number of completed transfers.
-func (d *DMA) JobsDone() uint32 { return d.jobsDone }
-
-// JobDates returns the local completion date of every finished transfer.
-func (d *DMA) JobDates() []sim.Time { return d.jobDates }
-
+// run is the engine thread: the controller's job loop over bus-side
+// chunk transfers.
 func (d *DMA) run(p *sim.Process) {
 	in := bus.NewInitiator(p, d.cfg.Bus, d.cfg.Quantum)
 	buf := make([]uint32, d.cfg.ChunkWords)
-	for {
-		for d.pendingJobs == 0 {
-			// See accel.run: re-check after Sync so a start
-			// command landing mid-sync is not lost.
-			if !p.Synchronized() {
-				p.Sync()
-				continue
-			}
-			p.WaitEvent(d.start)
-		}
-		d.pendingJobs--
-		d.busy = true
-		words := int(d.regs.Get(DMARegWords))
+	d.serve(p, func(p *sim.Process, words int) {
 		addr := d.regs.Get(DMARegAddr)
 		for done := 0; done < words; {
 			n := d.cfg.ChunkWords
@@ -171,11 +113,5 @@ func (d *DMA) run(p *sim.Process) {
 			}
 			done += n
 		}
-		d.busy = false
-		d.jobsDone++
-		d.jobDates = append(d.jobDates, p.LocalTime())
-		if d.cfg.IRQ != nil {
-			d.cfg.IRQ.Raise(d.cfg.IRQLine)
-		}
-	}
+	})
 }
