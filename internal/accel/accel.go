@@ -8,6 +8,11 @@
 // polls the status register; the live FIFO-level registers expose the
 // monitor interface of the attached channels ("knowing the FIFO filling
 // levels can be used for debug and dynamic performance tuning").
+//
+// Device state is dated like a Smart FIFO cell (§III-B): a job completes
+// at the device's local date, and the status and jobs-done registers
+// publish it only once the kernel's date — not the reader's — reaches it,
+// so a decoupled device that finished early reads like a synchronized one.
 package accel
 
 import (
@@ -25,9 +30,10 @@ const (
 	RegCtrl = 0
 	// RegWords holds the job length in words (input words).
 	RegWords = 1
-	// RegStatus reads 1 while a job is running, 0 when idle.
+	// RegStatus reads 1 while a job is queued, running or not yet due
+	// (package doc), 0 when idle.
 	RegStatus = 2
-	// RegJobsDone counts completed jobs.
+	// RegJobsDone counts the completed jobs that are due.
 	RegJobsDone = 3
 	// RegInLevel reads the input FIFO fill level (live monitor access).
 	RegInLevel = 4
@@ -102,13 +108,9 @@ type Accel struct {
 	controller
 	cfg Config
 
-	produced int // total words generated (Generator word index)
-
-	// Checksum accumulates everything a Sink consumed.
-	checksum uint64
-
-	// buf is the bulk-transfer staging buffer of the stream endpoints.
-	buf []uint32
+	produced int      // total words generated (Generator word index)
+	checksum uint64   // everything a Sink consumed
+	buf      []uint32 // bulk-transfer staging buffer of the stream endpoints
 }
 
 // New creates an accelerator and registers its thread process.

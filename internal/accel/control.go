@@ -7,10 +7,11 @@ import (
 
 // controller is the control half every device of this package shares:
 // the register file whose start bit queues a job, the device thread's
-// wait-run-complete loop, and the completion record the status and
-// jobs-done registers report. A device embeds it and supplies only its
+// wait-run-complete loop, and the dated completion record the status and
+// jobs-done registers publish. A device embeds it and supplies only its
 // datapath (the job body) and its own read-only registers.
 type controller struct {
+	k     *sim.Kernel
 	name  string
 	regs  *bus.RegisterFile
 	start *sim.Event
@@ -22,8 +23,8 @@ type controller struct {
 	irq     *bus.IRQController
 	irqLine int
 
-	// started counts start commands; a job is outstanding (queued or
-	// running) while fewer jobs have completed.
+	// started counts start commands; the device reads busy while fewer
+	// jobs than that have completed by the kernel's date (see done).
 	started  int
 	jobDates []sim.Time
 }
@@ -33,6 +34,7 @@ type controller struct {
 func (c *controller) init(k *sim.Kernel, name string, nregs, status, jobsDone int,
 	irq *bus.IRQController, irqLine int, read func(idx int) (uint32, bool)) {
 	*c = controller{
+		k:        k,
 		name:     name,
 		regs:     bus.NewRegisterFile(nregs, sim.NS),
 		start:    sim.NewEvent(k, name+".start"),
@@ -53,18 +55,29 @@ func (c *controller) init(k *sim.Kernel, name string, nregs, status, jobsDone in
 	c.regs.OnRead = func(p *sim.Process, idx int) (uint32, bool) {
 		switch idx {
 		case c.status:
-			if len(c.jobDates) < c.started {
+			if c.done() < c.started {
 				return 1, true
 			}
 			return 0, true
 		case c.jobsDone:
-			return uint32(len(c.jobDates)), true
+			return uint32(c.done()), true
 		}
 		if c.read != nil {
 			return c.read(idx)
 		}
 		return 0, false
 	}
+}
+
+// done counts the completions dated at or before the kernel's date — not
+// the reader's — which are the ones the registers publish (package doc).
+func (c *controller) done() int {
+	now := c.k.Now()
+	n := len(c.jobDates)
+	for n > 0 && c.jobDates[n-1] > now {
+		n--
+	}
+	return n
 }
 
 // Name returns the device name.

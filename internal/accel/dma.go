@@ -16,9 +16,10 @@ const (
 	DMARegWords = 1
 	// DMARegAddr holds the memory word address.
 	DMARegAddr = 2
-	// DMARegStatus reads 1 while a transfer is running.
+	// DMARegStatus reads 1 while a transfer is queued, running or not
+	// yet due (package doc).
 	DMARegStatus = 3
-	// DMARegJobsDone counts completed transfers.
+	// DMARegJobsDone counts the completed transfers that are due.
 	DMARegJobsDone = 4
 	// DMANumRegs is the register file size.
 	DMANumRegs = 5

@@ -291,14 +291,13 @@ func runScenario(ctx context.Context, p scenario.Params) (scenario.Outcome, erro
 // consumers' dated delivery traces — the §IV-A oracle applied to the
 // NI/mesh boundary, composed with the island-partitioning claim.
 //
-// As with the soc model's poll-boundary sensitivity, a non-empty diff on
-// a MULTI-stream shape is a real property of the shape, not necessarily a
-// Smart-FIFO bug: router arbitration between streams contending for a
-// link depends on same-date delta ordering, which the decoupled and
-// reference schedules may resolve differently. Single-stream shapes (the
-// default) have no contention and must always diff empty; the sharded
-// island partitioning never changes the diff either way (islands are
-// whole units).
+// A non-empty diff on a MULTI-stream shape is a real property of the
+// shape, not necessarily a Smart-FIFO bug: router arbitration between
+// streams contending for a link depends on same-date delta ordering,
+// which the decoupled and reference schedules may resolve differently.
+// Single-stream shapes (the default) have no contention and must always
+// diff empty; the sharded island partitioning never changes the diff
+// either way (islands are whole units).
 func checkScenario(ctx context.Context, p scenario.Params) (string, error) {
 	c, err := streamConfig(p)
 	if err != nil {

@@ -156,12 +156,7 @@ func jobTrace(r Result) *trace.Recorder {
 
 // checkScenario runs the point's SoC shape with Smart FIFOs and with
 // sync-on-every-access FIFOs — the paper's accuracy baseline — and diffs
-// the dated job completions. A non-empty diff is a real property of the
-// shape, not necessarily a Smart-FIFO bug: job re-programming is driven
-// by the control core *polling* status registers (a monitor observation
-// of in-flight state), so shapes where a job completion lands exactly on
-// a poll boundary can reprogram one tick apart across builds. The stream
-// dates inside a job, and all checksums, never differ.
+// the dated job completions.
 func checkScenario(ctx context.Context, p scenario.Params) (string, error) {
 	cfg, _, err := scenarioConfig(p)
 	if err != nil {

@@ -19,9 +19,29 @@ func TestSmartEqualsSyncAcrossConfigs(t *testing.T) {
 		{Pipelines: 4, Jobs: 2, WordsPerJob: 64, FIFODepth: 32, UseNoC: true, NoCPacketLen: 16, Quantum: 2 * sim.US, WithDMA: true},
 		{Pipelines: 3, Jobs: 4, WordsPerJob: 40, FIFODepth: 8, Quantum: 10 * sim.NS, PollPeriod: 50 * sim.NS},
 	}
+	// Shapes whose job dates differed across builds while device status
+	// was published at the device's local date instead of the kernel's:
+	// the failures of a 288-point matrix (pipelines {2,4,8} x jobs {3,5} x
+	// words {256,1024,2048} x depth {4,16} x DMA x NoC x quantum
+	// {100,500} ns), then the examples/soc shape over control quanta.
+	for _, jobs := range []int{3, 5} {
+		for _, noc := range []bool{false, true} {
+			for _, q := range []sim.Time{100 * sim.NS, 500 * sim.NS} {
+				configs = append(configs,
+					soc.Config{Pipelines: 2, Jobs: jobs, WordsPerJob: 2048, FIFODepth: 16, UseNoC: noc, Quantum: q},
+					soc.Config{Pipelines: 2, Jobs: jobs, WordsPerJob: 1024, FIFODepth: 16, UseNoC: noc, Quantum: q, WithDMA: true},
+					soc.Config{Pipelines: 4, Jobs: jobs, WordsPerJob: 2048, FIFODepth: 16, UseNoC: noc, Quantum: q, WithDMA: true})
+			}
+		}
+	}
+	for _, q := range []sim.Time{1 * sim.NS, 10 * sim.NS, 500 * sim.NS, 10 * sim.US} {
+		configs = append(configs, soc.Config{Pipelines: 4, Jobs: 5, WordsPerJob: 2048, FIFODepth: 16,
+			UseNoC: true, NoCPacketLen: 16, Quantum: q, WithDMA: true})
+	}
 	for i, cfg := range configs {
 		cfg := cfg
 		t.Run(fmt.Sprintf("cfg%d", i), func(t *testing.T) {
+			t.Parallel()
 			cfg.Seed = int64(i + 1)
 			cfg.Mode = soc.SmartFIFOs
 			smart := soc.Run(cfg)
