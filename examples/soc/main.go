@@ -7,12 +7,17 @@ package main
 
 import (
 	"fmt"
+	"io"
+	"os"
 
 	"repro/internal/sim"
 	"repro/internal/soc"
 )
 
-func main() {
+func main() { run(os.Stdout) }
+
+// run simulates the SoC on both builds and prints the comparison.
+func run(w io.Writer) {
 	cfg := soc.Config{
 		Pipelines:    4,
 		Jobs:         5,
@@ -23,7 +28,7 @@ func main() {
 		Quantum:      500 * sim.NS,
 		WithDMA:      true,
 	}
-	fmt.Printf("SoC: %d accelerator pipelines (odd ones via the NoC), %d jobs x %d words, DMA on\n\n",
+	fmt.Fprintf(w, "SoC: %d accelerator pipelines (odd ones via the NoC), %d jobs x %d words, DMA on\n\n",
 		cfg.Pipelines, cfg.Jobs, cfg.WordsPerJob)
 
 	cfg.Mode = soc.SyncFIFOs
@@ -32,17 +37,17 @@ func main() {
 	smart := soc.Run(cfg)
 
 	for _, r := range []soc.Result{sync, smart} {
-		fmt.Printf("%-6s  wall %12v  ctx switches %9d  bus accesses %6d\n",
+		fmt.Fprintf(w, "%-6s  wall %12v  ctx switches %9d  bus accesses %6d\n",
 			r.Mode, r.Wall, r.Stats.ContextSwitches, r.BusAccesses)
 	}
-	fmt.Printf("\nwall-time gain: %.1f%%\n", 100*(1-float64(smart.Wall)/float64(sync.Wall)))
-	fmt.Printf("job dates identical: %v\n", fmt.Sprint(smart.JobDates) == fmt.Sprint(sync.JobDates))
-	fmt.Printf("checksums identical: %v\n", fmt.Sprint(smart.Checksums) == fmt.Sprint(sync.Checksums))
-	fmt.Printf("NoC traffic: %d packets, %d flit-hops\n", smart.NoC.PacketsInjected, smart.NoC.FlitsForwarded)
+	fmt.Fprintf(w, "\nwall-time gain: %.1f%%\n", 100*(1-float64(smart.Wall)/float64(sync.Wall)))
+	fmt.Fprintf(w, "job dates identical: %v\n", fmt.Sprint(smart.JobDates) == fmt.Sprint(sync.JobDates))
+	fmt.Fprintf(w, "checksums identical: %v\n", fmt.Sprint(smart.Checksums) == fmt.Sprint(sync.Checksums))
+	fmt.Fprintf(w, "NoC traffic: %d packets, %d flit-hops\n", smart.NoC.PacketsInjected, smart.NoC.FlitsForwarded)
 
-	fmt.Println("\nper-pipeline job completion dates (Smart FIFO build):")
+	fmt.Fprintln(w, "\nper-pipeline job completion dates (Smart FIFO build):")
 	for i, dates := range smart.JobDates {
-		fmt.Printf("  pipeline %d: %v\n", i, dates)
+		fmt.Fprintf(w, "  pipeline %d: %v\n", i, dates)
 	}
-	fmt.Printf("\nmonitor-observed max sink-input FIFO levels: %v\n", smart.MaxLevels)
+	fmt.Fprintf(w, "\nmonitor-observed max sink-input FIFO levels: %v\n", smart.MaxLevels)
 }

@@ -11,9 +11,9 @@ import (
 // DMA register indices.
 const (
 	// DMARegCtrl starts a transfer when written with 1.
-	DMARegCtrl = 0
+	DMARegCtrl = RegCtrl
 	// DMARegWords holds the transfer length in words.
-	DMARegWords = 1
+	DMARegWords = RegWords
 	// DMARegAddr holds the memory word address.
 	DMARegAddr = 2
 	// DMARegStatus reads 1 while a transfer is queued, running or not
