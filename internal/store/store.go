@@ -14,11 +14,14 @@
 // the resumed campaign's results document is byte-identical to an
 // uninterrupted run's.
 //
-// Durability is group-committed: appends land in a buffered writer and a
-// single committer goroutine fsyncs batches (fsync-on-commit, never one
-// fsync per record), so the journal costs one syscall per burst of
-// completions. Losing the unsynced tail in a crash is safe — the only
-// consequence is recomputing the dropped points, never wrong output.
+// Durability is group-committed: an append queues its framed record in a
+// pending batch and a single committer goroutine writes and fsyncs
+// batches (fsync-on-commit, never one fsync per record), so the journal
+// costs one syscall per burst of completions. The write and the fsync run
+// outside the append lock: an append never waits for the disk, except the
+// one that fills a segment and seals it. Sync still waits for a batch
+// already in flight. Losing the unsynced tail in a crash is safe — the
+// only consequence is recomputing the dropped points, never wrong output.
 package store
 
 import (
@@ -98,44 +101,22 @@ type Store struct {
 	dir string
 	opt Options
 
+	// cmu serialises commits; it is taken before mu, never after. It
+	// guards the segment, which is written, synced and closed with cmu
+	// held and mu released, so an append never waits for the disk.
+	cmu    sync.Mutex
+	f      WriteSyncer
+	segIdx int
+
 	mu      sync.Mutex
-	f       WriteSyncer
-	buf     *appendBuf
-	segIdx  int
+	pending []byte // framed records appended since the last commit took them
+	spare   []byte // the previous batch's buffer, reused as the next pending
 	segSize int64
-	dirty   bool
 	err     error
 	closed  bool
 
 	commitC chan struct{}
 	doneC   chan struct{}
-}
-
-// appendBuf is a minimal whole-frame buffered writer (flush-only, no
-// partial-flush states) so a short write never leaves the frame
-// accounting and the file contents disagreeing silently.
-type appendBuf struct {
-	w    io.Writer
-	b    []byte
-	keep int
-}
-
-func newAppendBuf(w io.Writer, keep int) *appendBuf { return &appendBuf{w: w, keep: keep} }
-
-func (b *appendBuf) Write(p []byte) {
-	b.b = append(b.b, p...)
-}
-
-func (b *appendBuf) Flush() error {
-	if len(b.b) == 0 {
-		return nil
-	}
-	_, err := b.w.Write(b.b)
-	b.b = b.b[:0]
-	if cap(b.b) > 4*b.keep {
-		b.b = nil // shed an unusually large burst's buffer
-	}
-	return err
 }
 
 // Open recovers the journal in dir (created if missing) and returns the
@@ -187,7 +168,6 @@ func Open(dir string, opt Options) (*Store, *Recovered, error) {
 		return nil, nil, fmt.Errorf("store: %w", err)
 	}
 	s.f = f
-	s.buf = newAppendBuf(f, 1<<16)
 	syncDir(dir)
 	go s.committer()
 	return s, rec, nil
@@ -232,33 +212,67 @@ func syncDir(dir string) {
 
 // committer is the group-commit goroutine: one fsync covers every append
 // since the previous one, so a burst of point completions costs a single
-// syscall.
+// syscall, and appenders keep queueing records while it runs.
 func (s *Store) committer() {
 	defer close(s.doneC)
 	for range s.commitC {
-		s.mu.Lock()
-		s.commitLocked()
-		s.mu.Unlock()
+		s.commit(false)
 	}
 }
 
-// commitLocked flushes the buffer and fsyncs if anything is pending.
-func (s *Store) commitLocked() {
-	if s.err != nil || s.f == nil || !s.dirty {
+// commit takes the pending batch under mu, then writes and fsyncs it with
+// mu released. Once the segment is full it seals it: the batch's sync,
+// then close, then (unless closing) the next segment and a directory
+// fsync. Closing closes the segment instead. The first error is kept.
+func (s *Store) commit(closing bool) {
+	s.cmu.Lock()
+	defer s.cmu.Unlock()
+	s.mu.Lock()
+	batch, err := s.pending, s.err
+	s.pending, s.spare = s.spare[:0], nil
+	seal := s.segSize >= s.opt.SegmentBytes && err == nil && !closing
+	if seal {
+		s.segSize = 0 // later appends go to the next segment
+	}
+	s.mu.Unlock()
+	if s.f == nil {
 		return
 	}
-	if err := s.buf.Flush(); err != nil {
-		s.err = fmt.Errorf("store: append: %w", err)
-		return
+	synced := false
+	if err == nil && len(batch) > 0 {
+		if _, err = s.f.Write(batch); err != nil {
+			err = fmt.Errorf("store: append: %w", err)
+		} else if err = s.f.Sync(); err != nil {
+			err = fmt.Errorf("store: sync: %w", err)
+		}
+		synced = err == nil
 	}
-	if err := s.f.Sync(); err != nil {
-		s.err = fmt.Errorf("store: sync: %w", err)
-		return
+	if closing || seal && err == nil {
+		if cerr := s.f.Close(); cerr != nil && err == nil {
+			err = fmt.Errorf("store: close: %w", cerr)
+		}
+		s.f = nil
+		if seal && err == nil {
+			s.segIdx++
+			if f, oerr := s.opt.OpenSegment(s.segPath(s.segIdx)); oerr != nil {
+				err = fmt.Errorf("store: %w", oerr)
+			} else {
+				s.f = f
+				syncDir(s.dir)
+			}
+		}
 	}
-	s.dirty = false
-	if s.opt.Metrics != nil {
+	s.mu.Lock()
+	if s.err == nil {
+		s.err = err
+	}
+	if synced && s.opt.Metrics != nil {
 		s.opt.Metrics.Fsyncs.Inc()
 	}
+	if cap(batch) <= 1<<18 { // shed an unusually large burst's buffer
+		s.spare = batch[:0]
+	}
+	s.mu.Unlock()
 }
 
 // append encodes one record's body and buffers the record.
@@ -285,50 +299,27 @@ func (s *Store) write(payload []byte) error {
 	binary.LittleEndian.PutUint32(hdr[4:], crc32.Checksum(payload, castagnoli))
 
 	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return fmt.Errorf("store: closed")
-	}
-	if s.err != nil {
+	if s.closed || s.err != nil {
+		defer s.mu.Unlock()
+		if s.closed {
+			return fmt.Errorf("store: closed")
+		}
 		return s.err
 	}
-	s.buf.Write(hdr[:])
-	s.buf.Write(payload)
-	s.dirty = true
+	s.pending = append(append(s.pending, hdr[:]...), payload...)
 	s.segSize += int64(headerBytes + len(payload))
 	s.opt.Metrics.countRecord(typ)
-	if s.segSize >= s.opt.SegmentBytes {
-		s.rotateLocked()
-	}
+	full := s.segSize >= s.opt.SegmentBytes
 	select {
 	case s.commitC <- struct{}{}:
 	default:
 	}
-	return s.err
-}
-
-// rotateLocked seals the current segment (flush + fsync + close) and
-// opens the next one.
-func (s *Store) rotateLocked() {
-	s.commitLocked()
-	if s.err != nil {
-		return
+	s.mu.Unlock()
+	if !full {
+		return nil
 	}
-	if err := s.f.Close(); err != nil {
-		s.err = fmt.Errorf("store: sealing segment: %w", err)
-		return
-	}
-	s.segIdx++
-	s.segSize = 0
-	f, err := s.opt.OpenSegment(s.segPath(s.segIdx))
-	if err != nil {
-		s.f = nil
-		s.err = fmt.Errorf("store: %w", err)
-		return
-	}
-	s.f = f
-	s.buf = newAppendBuf(f, 1<<16)
-	syncDir(s.dir)
+	s.commit(false) // the append that fills a segment seals it
+	return s.Err()
 }
 
 // JobSubmitted journals a campaign submission: the id, display name,
@@ -389,16 +380,15 @@ func (s *Store) JobCancelled(id string) error {
 	return s.append(recJobCancelled, &jobMarkBody{ID: id})
 }
 
-// Sync blocks until every record appended so far is durable (or the
-// sticky write error is reported).
+// Sync blocks until every record appended so far is durable, including
+// a batch the committer has in flight (or the sticky write error is
+// reported).
 func (s *Store) Sync() error {
 	if s == nil {
 		return nil
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.commitLocked()
-	return s.err
+	s.commit(false)
+	return s.Err()
 }
 
 // Err reports the sticky write error, if any.
@@ -411,30 +401,25 @@ func (s *Store) Err() error {
 	return s.err
 }
 
-// Close commits everything pending, stops the committer and closes the
-// current segment.
+// Close commits everything pending, closes the current segment and stops
+// the committer. A second Close waits for the first and reports the same
+// error.
 func (s *Store) Close() error {
 	if s == nil {
 		return nil
 	}
 	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return s.err
-	}
+	first := !s.closed
 	s.closed = true
-	s.commitLocked()
-	if s.f != nil {
-		if err := s.f.Close(); err != nil && s.err == nil {
-			s.err = fmt.Errorf("store: close: %w", err)
-		}
-		s.f = nil
-	}
-	err := s.err
-	close(s.commitC)
 	s.mu.Unlock()
+	if first {
+		s.commit(true)
+		// Every doorbell is rung under mu by an append that saw !closed,
+		// so none can follow this close.
+		close(s.commitC)
+	}
 	<-s.doneC
-	return err
+	return s.Err()
 }
 
 // Record bodies (JSON, versioned implicitly by their record type).
